@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation
 from .operators import ClassDescriptor, SpectralOperator
-from .subspaces import Subspace, projection_of, span_sum
+from .subspaces import Subspace, projection_of
 
 Slot = Optional[int]
 

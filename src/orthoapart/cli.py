@@ -13,19 +13,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import serialize
 from .apartments import (
     Apartment,
-    PairIndex,
     _image_mask,
     _pair_mask,
     c_eval,
     enumerate_members,
     is_orthogonally_inexact,
     lemma3_bound,
-    member_count,
     standard_apartment,
 )
 from .compatibility import refine_to_frame
@@ -67,6 +65,7 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
         raise OrthoapartError(f"need n > 2k (n={n}, k={k})")
     ap = _apartment(cls, frame_path)
     members, pair_masks, image_masks = _masks(ap)
+    bounds = [lemma3_bound(k, m, n) for m in range(k + 1)]
     violations = []
     histogram: dict = {}
     orth_pairs = 0
@@ -78,14 +77,14 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
             pairs_checked += 1
             m = (qs & image_masks[t]).bit_count()
             count = (ps & pair_masks[t]).bit_count()
-            bound = (k - m) ** 2 + m * (n - 2 * k + m)
+            bound = bounds[m]
             histogram.setdefault(m, {}).setdefault(count, 0)
             histogram[m][count] += 1
             if count < bound:
                 violations.append(
                     {"pair": [s, t], "m": m, "count": count, "bound": bound}
                 )
-            if m == 0 and qs & image_masks[t] == 0:
+            if m == 0:
                 orth_pairs += 1
                 if count == k * k:
                     orth_k2 += 1
@@ -278,6 +277,14 @@ def _parse_alphas(text: str):
     return tuple(alphas)
 
 
+def _parse_n_range(text: str) -> Tuple[int, int]:
+    try:
+        lo, hi = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise OrthoapartError(f"--n-range must have the form lo:hi, got {text!r}") from None
+    return lo, hi
+
+
 def _parse_dims(text: str):
     return tuple(int(p) for p in text.split(","))
 
@@ -349,7 +356,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-lemma4":
             report = cmd_verify_lemma4(_class_from_args(args), args.frame)
         elif args.command == "scan-boundary":
-            lo, hi = (int(x) for x in args.n_range.split(":"))
+            lo, hi = _parse_n_range(args.n_range)
             if args.alphas is None or args.dims is None:
                 raise OrthoapartError("--alphas and --dims are required")
             report = cmd_scan_boundary(_parse_dims(args.dims), _parse_alphas(args.alphas), (lo, hi))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import DimensionMismatch, OrthoapartError
 from .matrices import Matrix, real_fraction
 from .compatibility import is_compatible
-from .subspaces import Subspace, span_sum
+from .subspaces import Subspace
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ class ClassDescriptor:
         Informational only; no operation refuses to run when this is false.
         """
         return len(set(self.dims)) == len(self.dims)
-
-    @property
-    def is_projection_class(self) -> bool:
-        return self.m == 1 and self.alphas[0] == 1
 
 
 @dataclass(frozen=True)
@@ -108,11 +104,15 @@ def materialize(a: SpectralOperator) -> Matrix:
 
 
 def image_of(a: SpectralOperator) -> Subspace:
-    """Sum of all maximal eigenspaces; its dimension is the class rank."""
-    img = Subspace.zero(a.n)
+    """Sum of all maximal eigenspaces; its dimension is the class rank.
+
+    The eigenspaces are mutually orthogonal (checked on construction), so
+    the sum of their projections is exactly the projection onto their span.
+    """
+    proj = Matrix.zeros(a.n, a.n)
     for _, x in a.eigenspaces:
-        img = span_sum(img, x)
-    return img
+        proj = proj + x.proj
+    return Subspace(proj)
 
 
 def commutes(a: SpectralOperator, b: SpectralOperator) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .apartments import Apartment, Labeling, enumerate_members, standard_apartment
+from .apartments import Apartment, Labeling, enumerate_members
 from .compatibility import Frame, split_into_lines
 from .errors import (
     DimensionMismatch,
@@ -31,7 +31,6 @@ from .operators import (
     ClassDescriptor,
     SpectralOperator,
     commutes,
-    hs_inner,
     image_of,
     materialize,
     orthogonal,
@@ -78,20 +77,16 @@ class GramWitness:
 # ---------------------------------------------------------------------------
 # counterexample generators
 
-def _frame_extending(groups: Sequence[Subspace], n: int) -> Tuple[Frame, List[int]]:
+def _frame_extending(groups: Sequence[Subspace], n: int) -> Frame:
     """Frame whose first lines split the given mutually orthogonal groups in
-    order, completed by lines of the orthocomplement.  Also returns the
-    number of lines per group."""
+    order, completed by lines of the orthocomplement."""
     lines: List[Subspace] = []
-    sizes: List[int] = []
     total = Subspace.zero(n)
     for g in groups:
-        split = split_into_lines(g)
-        sizes.append(len(split))
-        lines.extend(split)
+        lines.extend(split_into_lines(g))
         total = span_sum(total, g)
     lines.extend(split_into_lines(total.perp()))
-    return Frame(n, tuple(lines)), sizes
+    return Frame(n, tuple(lines))
 
 
 def _swap_transformation(
@@ -120,7 +115,7 @@ def example_orth_swap(cls: ClassDescriptor, x: Subspace) -> FiniteTransformation
         raise DimensionMismatch("subspace ambient dimension differs from class")
     if x.dim != cls.rank:
         raise OrthoapartError(f"image must have dimension {cls.rank}, got {x.dim}")
-    frame, _ = _frame_extending([x], cls.n)
+    frame = _frame_extending([x], cls.n)
     ap = Apartment(frame, cls)
     k = cls.rank
     # two labelings of the same k frame lines: slots consumed forward vs backward
@@ -152,7 +147,7 @@ def example_comm_swap(
     if not x.is_orthogonal_to(y):
         raise OrthoapartError("the two eigenspaces must be orthogonal")
     cls = ClassDescriptor(n, (Fraction(alpha), Fraction(beta)), (m_dim, m_dim))
-    frame, _ = _frame_extending([x, y], n)
+    frame = _frame_extending([x, y], n)
     ap = Apartment(frame, cls)
     a: List[Optional[int]] = [None] * n
     b: List[Optional[int]] = [None] * n

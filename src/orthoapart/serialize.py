@@ -1,29 +1,23 @@
 """JSON wire formats.
 
-Scalars travel as text ("p/q" or "p/q+r/s i"), matrices as row-major arrays
-of scalar strings, vectors as flat arrays.  Class descriptors:
-{"n": int, "alphas": [scalar, ...], "dims": [int, ...]}.  Operators: class
-plus per-eigenvalue lists of spanning vectors.  Subspace families: lists of
-spanning sets.  Frames: one spanning vector per line.  Labelings: arrays of
-slot indices with null for kernel lines.
+Scalars travel as text ("p/q" or "p/q+r/s i"), vectors as flat arrays of
+scalar strings.  Class descriptors:
+{"n": int, "alphas": [scalar, ...], "dims": [int, ...]}.  Subspace
+families: lists of spanning sets.  Frames: one spanning vector per line.
+Labelings: arrays of slot indices with null for kernel lines.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .apartments import Labeling
 from .compatibility import Frame
 from .errors import OrthoapartError
-from .matrices import Matrix, Vector, vector
-from .operators import ClassDescriptor, SpectralOperator
-from .scalars import GaussianRational, parse_scalar
+from .matrices import Vector, vector
+from .operators import ClassDescriptor
+from .scalars import parse_scalar
 from .subspaces import Subspace, projection_of
-
-
-def scalar_to_text(x: GaussianRational) -> str:
-    return str(x)
 
 
 def vector_from_json(data: Sequence[str]) -> Vector:
@@ -32,14 +26,6 @@ def vector_from_json(data: Sequence[str]) -> Vector:
 
 def vector_to_json(v: Sequence) -> List[str]:
     return [str(x) for x in v]
-
-
-def matrix_from_json(data: Sequence[Sequence[str]]) -> Matrix:
-    return Matrix([[parse_scalar(str(s)) for s in row] for row in data])
-
-
-def matrix_to_json(m: Matrix) -> List[List[str]]:
-    return [[str(x) for x in row] for row in m.entries()]
 
 
 def class_from_json(data: dict) -> ClassDescriptor:
@@ -57,23 +43,6 @@ def class_to_json(cls: ClassDescriptor) -> dict:
         "n": cls.n,
         "alphas": [str(a) for a in cls.alphas],
         "dims": list(cls.dims),
-    }
-
-
-def operator_from_json(data: dict) -> SpectralOperator:
-    cls = class_from_json(data["class"])
-    eig = []
-    for alpha, vecs in zip(cls.alphas, data["eigenspaces"]):
-        eig.append((alpha, projection_of([vector_from_json(v) for v in vecs], ambient_dim=cls.n)))
-    return SpectralOperator(cls, tuple(eig))
-
-
-def operator_to_json(op: SpectralOperator) -> dict:
-    return {
-        "class": class_to_json(op.cls),
-        "eigenspaces": [
-            [vector_to_json(b) for b in x.basis()] for _, x in op.eigenspaces
-        ],
     }
 
 
@@ -105,5 +74,3 @@ def labeling_from_json(data: Sequence) -> Labeling:
     return Labeling(tuple(None if s is None else int(s) for s in data))
 
 
-def labeling_to_json(lab: Labeling) -> List[Optional[int]]:
-    return list(lab.assignment)

@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence
 
 from .errors import DimensionMismatch
 from .matrices import Matrix, Vector, inner, vector
-from .scalars import ZERO, as_scalar
+from .scalars import as_scalar
 
 
 class Subspace:

@@ -59,6 +59,13 @@ def test_scan_boundary_non_integral_m():
     assert entry["c_at_m_star"] is None
 
 
+def test_scan_boundary_malformed_n_range(capsys):
+    for bad in ("5", "5:6:7", "a:b"):
+        args = ["scan-boundary", "--alphas", "1,2", "--dims", "1,2", "--n-range", bad]
+        assert main(args) == 2
+        assert "lo:hi" in capsys.readouterr().err
+
+
 def test_scan_boundary_empty_range():
     with pytest.raises(OrthoapartError):
         cmd_scan_boundary((1, 2), (Fraction(1), Fraction(2)), (20, 25))
@@ -130,6 +137,16 @@ def test_cli_refine_and_incompatible(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["error"] == "incompatible_family"
     assert payload["pair"] == [0, 1]
+
+
+def test_cli_refine_mixed_ambient_dimensions(tmp_path, capsys):
+    family = [[["1", "0", "0"]], [["0", "1", "0", "0"]]]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert main(["refine", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "ambient dimension" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_inexact(tmp_path):

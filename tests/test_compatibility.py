@@ -8,19 +8,27 @@ from orthoapart import (
     Subspace,
     is_compatible,
     projection_of,
-    projections_commute,
     refine_to_frame,
     span_sum,
     split_into_lines,
 )
-from orthoapart.errors import IncompatibleFamily, OrthoapartError
+from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
 from orthoapart.matrices import Matrix
 
-from util import random_frame
+from util import lattice_compatible, lattice_refine, random_frame
 
 
 def e(n, i):
     return [1 if j == i else 0 for j in range(n)]
+
+
+def lines_sum(frame, indices):
+    """The sum of the chosen frame lines, as one subspace."""
+    n = frame.ambient_dim
+    proj = Matrix.zeros(n, n)
+    for i in indices:
+        proj = proj + frame.lines[i].proj
+    return Subspace(proj)
 
 
 def test_compatible_when_orthogonal():
@@ -42,16 +50,27 @@ def test_incompatible_slanted_line():
 
 
 def test_compatibility_equals_projection_commutation():
+    """Commuting projections agree with the lattice form of compatibility,
+    on random spans and on sums of lines of one random frame."""
     rng = random.Random(21)
-    for _ in range(40):
+    outcomes = set()
+    for _ in range(60):
         n = rng.randint(2, 5)
+        frame = random_frame(n, rng)
+
         def rand_space():
+            if rng.random() < 0.6:
+                return lines_sum(frame, [i for i in range(n) if rng.random() < 0.5])
             return projection_of(
                 [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))],
                 ambient_dim=n,
             )
+
         x, y = rand_space(), rand_space()
-        assert is_compatible(x, y) == projections_commute(x, y)
+        got = is_compatible(x, y)
+        assert got == lattice_compatible(x, y)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_frame_validation():
@@ -93,13 +112,10 @@ def test_refine_reconstructs_inputs():
     for _ in range(10):
         n = rng.randint(2, 6)
         gen = random_frame(n, rng)
-        family = []
-        for _ in range(rng.randint(1, 3)):
-            picks = [i for i in range(n) if rng.random() < 0.5]
-            proj = Matrix.zeros(n, n)
-            for i in picks:
-                proj = proj + gen.lines[i].proj
-            family.append(Subspace(proj))
+        family = [
+            lines_sum(gen, [i for i in range(n) if rng.random() < 0.5])
+            for _ in range(rng.randint(1, 3))
+        ]
         frame = refine_to_frame(family)
         for x in family:
             rebuilt = Subspace.zero(n)
@@ -107,6 +123,31 @@ def test_refine_reconstructs_inputs():
                 if x.contains(line):
                     rebuilt = span_sum(rebuilt, line)
             assert rebuilt == x
+
+
+def test_refine_matches_lattice_oracle():
+    """The one-pass product split gives the same lines, in the same order,
+    as the restart loop over general intersections, zero, full and
+    repeated members included."""
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        gen = random_frame(n, rng)
+        family = [
+            lines_sum(gen, [i for i in range(n) if rng.random() < 0.5])
+            for _ in range(rng.randint(1, 4))
+        ]
+        family += [Subspace.zero(n), Subspace.full(n), rng.choice(family)]
+        rng.shuffle(family)
+        assert refine_to_frame(family).lines == lattice_refine(family).lines
+
+
+def test_mixed_ambient_dimensions_are_rejected():
+    x, y = projection_of([e(3, 0)]), projection_of([e(4, 0)])
+    with pytest.raises(DimensionMismatch):
+        is_compatible(x, y)
+    with pytest.raises(DimensionMismatch):
+        refine_to_frame([x, y])
 
 
 def test_refine_rejects_incompatible():

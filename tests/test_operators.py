@@ -22,6 +22,7 @@ from util import (
     random_frame,
     random_labeling,
     random_operator,
+    span_sum_image,
 )
 from orthoapart.apartments import Apartment
 
@@ -126,6 +127,20 @@ def test_image_of():
     a = op_from_spans(3, [1, 2], [[e(3, 0)], [e(3, 1)]])
     assert image_of(a) == projection_of([e(3, 0), e(3, 1)])
     assert image_of(a).dim == a.cls.rank
+
+
+def test_image_of_equals_span_sum_fold():
+    rng = random.Random(13)
+    classes = [
+        ClassDescriptor(3, (Fraction(1),), (2,)),
+        ClassDescriptor(4, (Fraction(1), Fraction(-2)), (1, 2)),
+        ClassDescriptor(5, (Fraction(1), Fraction(2), Fraction(1, 3)), (1, 1, 2)),
+        ClassDescriptor(6, (Fraction(3), Fraction(-1)), (2, 2)),
+    ]
+    for cls in classes:
+        for _ in range(5):
+            op = random_operator(cls, rng)
+            assert image_of(op) == span_sum_image(op)
 
 
 def test_predicates_agree_with_matrix_oracle():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from orthoapart import (
     Apartment,
@@ -20,12 +20,14 @@ from orthoapart import (
     Matrix,
     SpectralOperator,
     Subspace,
+    complement_within,
     image_of,
+    intersect,
     materialize,
     projection_of,
     span_sum,
+    split_into_lines,
 )
-from orthoapart.apartments import in_minus_minus, in_plus_plus
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
                (Fraction(8, 17), Fraction(15, 17))]
@@ -110,3 +112,49 @@ def oracle_n_count(a: SpectralOperator, b: SpectralOperator, ap: Apartment) -> i
             if oracle_in_orthocomplementary(a, ap, i, j) and oracle_in_orthocomplementary(b, ap, i, j):
                 total += 1
     return total
+
+
+def lattice_compatible(x: Subspace, y: Subspace) -> bool:
+    """Compatibility in lattice form: (X cap Y)^perp cap X is orthogonal to
+    (X cap Y)^perp cap Y."""
+    zp = intersect(x, y).perp()
+    return intersect(zp, x).is_orthogonal_to(intersect(zp, y))
+
+
+def lattice_refine(family: Sequence[Subspace]) -> Frame:
+    """Frame refinement of a nonempty pairwise-compatible family through
+    general intersections: drop zero and repeated members, then split the
+    first splittable block against the first member that splits it into
+    X cap Y and (X cap Y)^perp cap Y, restarting after every split."""
+    n = family[0].ambient_dim
+    members: List[Subspace] = []
+    for x in family:
+        if not x.is_zero() and x not in members:
+            members.append(x)
+
+    blocks: List[Subspace] = [Subspace.full(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in members:
+            for bi, y in enumerate(blocks):
+                z = intersect(x, y)
+                if z.dim != 0 and z.dim != y.dim:
+                    blocks[bi : bi + 1] = [z, complement_within(z, y)]
+                    changed = True
+                    break
+            if changed:
+                break
+
+    lines: List[Subspace] = []
+    for block in blocks:
+        lines.extend(split_into_lines(block))
+    return Frame(n, tuple(lines))
+
+
+def span_sum_image(op: SpectralOperator) -> Subspace:
+    """Image of an operator as the span_sum fold of its eigenspaces."""
+    img = Subspace.zero(op.n)
+    for _, x in op.eigenspaces:
+        img = span_sum(img, x)
+    return img
