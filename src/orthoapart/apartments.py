@@ -114,17 +114,17 @@ def member_count(ap: Apartment) -> int:
     return count
 
 
-def enumerate_members(ap: Apartment) -> Iterator[Labeling]:
-    """All members, each exactly once, in lexicographic order of the
-    assignment tuple (slots before None at every position)."""
-    c = ap.cls
+def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
+    """The assignment tuples of all members of the class's apartments, in
+    lexicographic order (slots before None at every position).  Labels do
+    not depend on the frame, so this reads only n and the dims."""
     results: List[Tuple[Slot, ...]] = []
 
     def fill(assignment: List[Slot], slot: int, remaining: List[int]):
-        if slot == c.m:
+        if slot == cls.m:
             results.append(tuple(assignment))
             return
-        for chosen in combinations(remaining, c.dims[slot]):
+        for chosen in combinations(remaining, cls.dims[slot]):
             for i in chosen:
                 assignment[i] = slot
             rest = [i for i in remaining if i not in chosen]
@@ -132,9 +132,15 @@ def enumerate_members(ap: Apartment) -> Iterator[Labeling]:
             for i in chosen:
                 assignment[i] = None
 
-    fill([None] * c.n, 0, list(range(c.n)))
-    results.sort(key=lambda a: tuple(c.m if s is None else s for s in a))
-    for a in results:
+    fill([None] * cls.n, 0, list(range(cls.n)))
+    results.sort(key=lambda a: tuple(cls.m if s is None else s for s in a))
+    return results
+
+
+def enumerate_members(ap: Apartment) -> Iterator[Labeling]:
+    """All members, each exactly once, in lexicographic order of the
+    assignment tuple (slots before None at every position)."""
+    for a in _member_assignments(ap.cls):
         yield Labeling(a)
 
 
@@ -207,6 +213,33 @@ def n_count(a: Labeling, b: Labeling, ap: Apartment) -> int:
     a.validate(ap)
     b.validate(ap)
     return (_pair_mask(a.assignment) & _pair_mask(b.assignment)).bit_count()
+
+
+def _member_masks(cls: ClassDescriptor) -> List[Tuple[int, int]]:
+    return [(_pair_mask(a), _image_mask(a)) for a in _member_assignments(cls)]
+
+
+def member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
+    """(image overlap, n_count) of member 0 against each member t >= 1, in
+    enumeration order.
+
+    Both numbers are unchanged when S_n permutes frame indices, and S_n acts
+    transitively on the members, so every member's row holds the same
+    multiset of pairs: a value occurring c times in this row occurs on
+    exactly c * M / 2 of the C(M, 2) member pairs (M members), and it occurs
+    on some pair iff it occurs in this row."""
+    (p0, q0), *rest = _member_masks(cls)
+    return [((q0 & q).bit_count(), (p0 & p).bit_count()) for p, q in rest]
+
+
+def member_pairs(cls: ClassDescriptor) -> Iterator[Tuple[int, int, int, int]]:
+    """(s, t, image overlap, n_count) for every member pair s < t, in (s, t)
+    order: the exhaustive walk, for listing individual pairs."""
+    masks = _member_masks(cls)
+    for s, (ps, qs) in enumerate(masks):
+        for t in range(s + 1, len(masks)):
+            pt, qt = masks[t]
+            yield s, t, (qs & qt).bit_count(), (ps & pt).bit_count()
 
 
 def lemma3_bound(k: int, m: int, n: int) -> int:

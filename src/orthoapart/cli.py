@@ -18,12 +18,11 @@ from typing import Optional, Tuple
 from . import serialize
 from .apartments import (
     Apartment,
-    _image_mask,
-    _pair_mask,
     c_eval,
-    enumerate_members,
     is_orthogonally_inexact,
     lemma3_bound,
+    member_pairs,
+    member_row,
     standard_apartment,
 )
 from .compatibility import refine_to_frame
@@ -49,58 +48,64 @@ def _apartment(cls: ClassDescriptor, frame_path: Optional[str]) -> Apartment:
     return Apartment(frame, cls)
 
 
-def _masks(ap: Apartment) -> Tuple[list, list, list]:
-    members = list(enumerate_members(ap))
-    pair_masks = [_pair_mask(m.assignment) for m in members]
-    image_masks = [_image_mask(m.assignment) for m in members]
-    return members, pair_masks, image_masks
+def _pairs_where(cls: ClassDescriptor, row: list, bad) -> list:
+    """Every member pair (s, t, m, count) with bad(m, count), in (s, t)
+    order.  A bad pair exists iff member 0's row holds one (see
+    member_row), so the exhaustive walk runs only then."""
+    if not any(bad(m, count) for m, count in row):
+        return []
+    return [p for p in member_pairs(cls) if bad(p[2], p[3])]
+
+
+def _lemma3_violations(cls: ClassDescriptor, row: list) -> list:
+    bounds = [lemma3_bound(cls.rank, m, cls.n) for m in range(cls.rank + 1)]
+    return [
+        {"pair": [s, t], "m": m, "count": count, "bound": bounds[m]}
+        for s, t, m, count in _pairs_where(cls, row, lambda m, count: count < bounds[m])
+    ]
+
+
+def _lemma4_disagreements(cls: ClassDescriptor, row: list) -> list:
+    k2 = cls.rank ** 2
+    return [
+        {"pair": [s, t], "by_count": count == k2, "direct": m == 0}
+        for s, t, m, count in _pairs_where(cls, row, lambda m, count: (count == k2) != (m == 0))
+    ]
 
 
 def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) -> dict:
-    """Scan all member pairs of the apartment: the shared-subset count must
+    """Check every member pair of the apartment: the shared-subset count must
     meet the quadratic bound at m = dim(Im cap Im), with exact equality k^2
-    on orthogonal pairs."""
+    on orthogonal pairs.  One row, member 0 against the rest, decides all
+    pairs (see member_row): each histogram cell and pair total is the row's
+    count times M/2, and the pairs are walked one by one only to list
+    violations.  A --frame file is loaded and checked against the class;
+    the counts do not depend on the frame."""
     n, k = cls.n, cls.rank
     if n < 2 * k + 1:
         raise OrthoapartError(f"need n > 2k (n={n}, k={k})")
-    ap = _apartment(cls, frame_path)
-    members, pair_masks, image_masks = _masks(ap)
-    bounds = [lemma3_bound(k, m, n) for m in range(k + 1)]
-    violations = []
+    if frame_path is not None:
+        _apartment(cls, frame_path)
+    row = member_row(cls)
+    members = len(row) + 1
     histogram: dict = {}
-    orth_pairs = 0
-    orth_k2 = 0
-    pairs_checked = 0
-    for s in range(len(members)):
-        ps, qs = pair_masks[s], image_masks[s]
-        for t in range(s + 1, len(members)):
-            pairs_checked += 1
-            m = (qs & image_masks[t]).bit_count()
-            count = (ps & pair_masks[t]).bit_count()
-            bound = bounds[m]
-            histogram.setdefault(m, {}).setdefault(count, 0)
-            histogram[m][count] += 1
-            if count < bound:
-                violations.append(
-                    {"pair": [s, t], "m": m, "count": count, "bound": bound}
-                )
-            if m == 0:
-                orth_pairs += 1
-                if count == k * k:
-                    orth_k2 += 1
+    for m, count in row:
+        histogram.setdefault(m, {}).setdefault(count, 0)
+        histogram[m][count] += 1
+    orth = histogram.get(0, {})
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-lemma3",
         "class": serialize.class_to_json(cls),
         "n": n,
         "k": k,
-        "members": len(members),
-        "pairs_checked": pairs_checked,
-        "orthogonal_pairs": orth_pairs,
-        "orthogonal_pairs_with_k_squared": orth_k2,
-        "violations": violations,
+        "members": members,
+        "pairs_checked": members * (members - 1) // 2,
+        "orthogonal_pairs": sum(orth.values()) * members // 2,
+        "orthogonal_pairs_with_k_squared": orth.get(k * k, 0) * members // 2,
+        "violations": _lemma3_violations(cls, row),
         "counts_histogram": {
-            str(m): sorted([c, f] for c, f in hist.items())
+            str(m): sorted([c, f * members // 2] for c, f in hist.items())
             for m, hist in sorted(histogram.items())
         },
     }
@@ -108,42 +113,36 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
 
 def cmd_verify_lemma4(cls: ClassDescriptor, frame_path: Optional[str] = None) -> dict:
     """Check that count == k^2 characterizes orthogonality over all member
-    pairs.  Requires n >= 4k."""
+    pairs.  Requires n >= 4k.  Member 0's row decides whether any pair
+    disagrees (see member_row); the pairs are walked one by one only to
+    list disagreements.  A --frame file is loaded and checked against the
+    class; the counts do not depend on the frame."""
     n, k = cls.n, cls.rank
     if n < 4 * k:
         raise ThresholdViolation(f"lemma requires n >= 4k (n={n}, k={k})")
-    ap = _apartment(cls, frame_path)
-    members, pair_masks, image_masks = _masks(ap)
-    disagreements = []
-    pairs_checked = 0
-    k2 = k * k
-    for s in range(len(members)):
-        ps, qs = pair_masks[s], image_masks[s]
-        for t in range(s + 1, len(members)):
-            pairs_checked += 1
-            by_count = (ps & pair_masks[t]).bit_count() == k2
-            direct = qs & image_masks[t] == 0
-            if by_count != direct:
-                disagreements.append(
-                    {"pair": [s, t], "by_count": by_count, "direct": direct}
-                )
+    if frame_path is not None:
+        _apartment(cls, frame_path)
+    row = member_row(cls)
+    members = len(row) + 1
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-lemma4",
         "class": serialize.class_to_json(cls),
         "n": n,
         "k": k,
-        "members": len(members),
-        "pairs_checked": pairs_checked,
-        "violations": disagreements,
+        "members": members,
+        "pairs_checked": members * (members - 1) // 2,
+        "violations": _lemma4_disagreements(cls, row),
     }
 
 
 def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int]) -> dict:
     """For each even-or-odd n with 2k < n < 4k in the range: tabulate c(0)
-    against c((4k-n)/2) when that point is integral, and search all member
-    pairs for non-orthogonal pairs attaining count k^2.  Findings are
-    reported, not asserted."""
+    against c((4k-n)/2) when that point is integral, and count the
+    non-orthogonal member pairs attaining count k^2.  The count is the
+    number of such pairs in member 0's row times M/2, and the first such
+    pair in (s, t) order is [0, t] for the row's first hit t (see
+    member_row).  Findings are reported, not asserted."""
     k = sum(cls_dims)
     lo, hi = n_range
     ns = [n for n in range(lo, hi + 1) if 2 * k < n < 4 * k]
@@ -155,29 +154,18 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
         c0 = c_eval(0, k, n)
         m_star = Fraction(4 * k - n, 2)
         integral = m_star.denominator == 1 and 0 < m_star < k
-        entry = {
+        row = member_row(cls)
+        hits = [t for t, (m, count) in enumerate(row, 1) if m != 0 and count == k * k]
+        entries.append({
             "n": n,
             "c0": str(c0),
             "m_star": str(m_star),
             "m_star_integral": integral,
             "c_at_m_star": str(c_eval(m_star, k, n)) if integral else None,
             "c0_equals_c_m_star": bool(integral and c_eval(m_star, k, n) == c0),
-        }
-        ap = standard_apartment(cls)
-        members, pair_masks, image_masks = _masks(ap)
-        k2 = k * k
-        found = 0
-        first_pair = None
-        for s in range(len(members)):
-            ps, qs = pair_masks[s], image_masks[s]
-            for t in range(s + 1, len(members)):
-                if qs & image_masks[t] != 0 and (ps & pair_masks[t]).bit_count() == k2:
-                    found += 1
-                    if first_pair is None:
-                        first_pair = [s, t]
-        entry["nonorthogonal_pairs_with_k_squared"] = found
-        entry["first_such_pair"] = first_pair
-        entries.append(entry)
+            "nonorthogonal_pairs_with_k_squared": len(hits) * (len(row) + 1) // 2,
+            "first_such_pair": [0, hits[0]] if hits else None,
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-boundary",
@@ -248,10 +236,8 @@ def cmd_refine(family_path: str, n: Optional[int] = None) -> dict:
 def cmd_inexact(members_path: str, frame_path: Optional[str] = None) -> dict:
     """Decide orthogonal inexactness of a member set given as labelings."""
     with open(members_path) as fh:
-        data = json.load(fh)
-    cls = serialize.class_from_json(data["class"])
+        cls, members = serialize.member_set_from_json(json.load(fh))
     ap = _apartment(cls, frame_path)
-    members = [serialize.labeling_from_json(m) for m in data["members"]]
     inexact, witness = is_orthogonally_inexact(members, ap)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -144,7 +144,15 @@ def as_scalar(x) -> GaussianRational:
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse the ``"p/q"`` / ``"p/q+r/s i"`` text form.  Whitespace is ignored."""
+    """Parse the ``"p/q"`` / ``"p/q+r/s i"`` text form.  Whitespace is ignored.
+    Malformed text, a zero denominator included, raises ValueError."""
+    try:
+        return _parse_scalar(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
+def _parse_scalar(text: str) -> GaussianRational:
     s = "".join(text.split())
     if not s:
         raise ValueError("empty scalar string")

@@ -4,12 +4,16 @@ Scalars travel as text ("p/q" or "p/q+r/s i"), vectors as flat arrays of
 scalar strings.  Class descriptors:
 {"n": int, "alphas": [scalar, ...], "dims": [int, ...]}.  Subspace
 families: lists of spanning sets.  Frames: one spanning vector per line.
-Labelings: arrays of slot indices with null for kernel lines.
+Labelings: arrays of slot indices with null for kernel lines.  Member
+files: {"class": class, "members": [labeling, ...]}.
+
+A file of the wrong shape (a missing field, a list where an object belongs,
+a non-integer dimension) raises OrthoapartError naming the field.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .apartments import Labeling
 from .compatibility import Frame
@@ -20,22 +24,53 @@ from .scalars import parse_scalar
 from .subspaces import Subspace, projection_of
 
 
-def vector_from_json(data: Sequence[str]) -> Vector:
-    return vector([parse_scalar(str(s)) for s in data])
+def _field(data, key: str, where: str):
+    if not isinstance(data, dict):
+        raise OrthoapartError(f"{where} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise OrthoapartError(f"{where} has no {key!r} field")
+    return data[key]
+
+
+def _list(data, where: str) -> list:
+    if not isinstance(data, list):
+        raise OrthoapartError(f"{where} must be a JSON list, got {type(data).__name__}")
+    return data
+
+
+def _int(data, where: str) -> int:
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise OrthoapartError(f"{where} must be an integer, got {type(data).__name__}")
+    return data
+
+
+def _scalar(data, where: str):
+    if isinstance(data, bool) or not isinstance(data, (str, int, float)):
+        raise OrthoapartError(f"{where} must be a scalar, got {type(data).__name__}")
+    try:
+        return parse_scalar(str(data))
+    except ValueError as exc:
+        raise OrthoapartError(f"{where}: {exc}") from None
+
+
+def vector_from_json(data, where: str) -> Vector:
+    return vector([_scalar(s, f"{where}[{i}]") for i, s in enumerate(_list(data, where))])
 
 
 def vector_to_json(v: Sequence) -> List[str]:
     return [str(x) for x in v]
 
 
-def class_from_json(data: dict) -> ClassDescriptor:
+def class_from_json(data) -> ClassDescriptor:
+    n = _int(_field(data, "n", "class"), "class.n")
     alphas = []
-    for a in data["alphas"]:
-        s = parse_scalar(str(a))
+    for i, a in enumerate(_list(_field(data, "alphas", "class"), "class.alphas")):
+        s = _scalar(a, f"class.alphas[{i}]")
         if not s.is_real:
             raise OrthoapartError("eigenvalues must be real rationals")
         alphas.append(s.re)
-    return ClassDescriptor(int(data["n"]), tuple(alphas), tuple(int(d) for d in data["dims"]))
+    dims = _list(_field(data, "dims", "class"), "class.dims")
+    return ClassDescriptor(n, tuple(alphas), tuple(_int(d, f"class.dims[{i}]") for i, d in enumerate(dims)))
 
 
 def class_to_json(cls: ClassDescriptor) -> dict:
@@ -46,11 +81,12 @@ def class_to_json(cls: ClassDescriptor) -> dict:
     }
 
 
-def family_from_json(data: Sequence[Sequence[Sequence[str]]], ambient_dim: Optional[int] = None) -> List[Subspace]:
+def family_from_json(data, ambient_dim: Optional[int] = None) -> List[Subspace]:
     """A family file is a JSON list of spanning sets."""
     out = []
-    for spanning in data:
-        vecs = [vector_from_json(v) for v in spanning]
+    for i, spanning in enumerate(_list(data, "family")):
+        where = f"family[{i}]"
+        vecs = [vector_from_json(v, f"{where}[{j}]") for j, v in enumerate(_list(spanning, where))]
         out.append(projection_of(vecs, ambient_dim=ambient_dim))
     return out
 
@@ -62,15 +98,31 @@ def frame_to_json(frame: Frame) -> dict:
     }
 
 
-def frame_from_json(data: dict) -> Frame:
-    n = int(data["n"])
-    lines = tuple(
-        projection_of([vector_from_json(v)], ambient_dim=n) for v in data["lines"]
-    )
-    return Frame(n, lines)
+def frame_from_json(data) -> Frame:
+    n = _int(_field(data, "n", "frame"), "frame.n")
+    lines = _list(_field(data, "lines", "frame"), "frame.lines")
+    return Frame(n, tuple(
+        projection_of([vector_from_json(v, f"frame.lines[{i}]")], ambient_dim=n)
+        for i, v in enumerate(lines)
+    ))
 
 
-def labeling_from_json(data: Sequence) -> Labeling:
-    return Labeling(tuple(None if s is None else int(s) for s in data))
+def labeling_from_json(data, where: str) -> Labeling:
+    return Labeling(tuple(
+        None if s is None else _int(s, f"{where}[{i}]") for i, s in enumerate(_list(data, where))
+    ))
 
 
+def member_set_from_json(data) -> Tuple[ClassDescriptor, List[Labeling]]:
+    """A member file is {"class": class, "members": [labeling, ...]}; each
+    labeling has one entry per frame line, n in all."""
+    cls = class_from_json(_field(data, "class", "member file"))
+    members = []
+    for i, m in enumerate(_list(_field(data, "members", "member file"), "members")):
+        lab = labeling_from_json(m, f"members[{i}]")
+        if len(lab.assignment) != cls.n:
+            raise OrthoapartError(
+                f"members[{i}] has {len(lab.assignment)} entries, the class has n={cls.n}"
+            )
+        members.append(lab)
+    return cls, members

@@ -1,7 +1,19 @@
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from orthoapart import cli, serialize
+from orthoapart.apartments import (
+    PairIndex,
+    member_row,
+    rotated_frame,
+    standard_apartment,
+)
 from orthoapart.cli import (
     cmd_counterexample,
     cmd_refine,
@@ -13,6 +25,9 @@ from orthoapart.cli import (
 from orthoapart.errors import OrthoapartError, ThresholdViolation
 from orthoapart.operators import ClassDescriptor
 from fractions import Fraction
+
+import util
+from util import oracle_scan_boundary, oracle_verify_lemma3, oracle_verify_lemma4
 
 
 def cls_of(n, dims):
@@ -170,3 +185,191 @@ def test_cmd_refine_empty_family_needs_n(tmp_path):
     out = tmp_path / "frame.json"
     assert main(["refine", str(path), "--n", "3", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["frame"]["lines"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the one-row label scan against the exhaustive pair walk
+
+def compositions(k):
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
+
+
+def report_bytes(report):
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def small_classes(max_pairs=2_000_000):
+    """Every class with k <= 4 and 2k < n <= 4k + 2 of at most max_pairs
+    member pairs."""
+    for k in range(1, 5):
+        for dims in compositions(k):
+            for n in range(2 * k + 1, 4 * k + 3):
+                members = math.perm(n, k) // math.prod(math.factorial(d) for d in dims)
+                if math.comb(members, 2) <= max_pairs:
+                    yield cls_of(n, dims)
+
+
+def test_label_reports_match_pair_walk_oracle():
+    lemma4_classes = 0
+    for cls in small_classes():
+        assert report_bytes(cmd_verify_lemma3(cls)) == report_bytes(oracle_verify_lemma3(cls)), cls
+        if cls.n >= 4 * cls.rank:
+            lemma4_classes += 1
+            assert report_bytes(cmd_verify_lemma4(cls)) == report_bytes(oracle_verify_lemma4(cls)), cls
+    assert lemma4_classes > 0
+
+
+def test_scan_boundary_matches_pair_walk_oracle():
+    ranges = [
+        ((1,), (1, 5)),
+        ((2,), (5, 7)),
+        ((3,), (7, 11)),
+        ((4,), (9, 15)),
+        ((1, 2), (7, 11)),
+        ((1, 2), (10, 10)),
+        ((2, 2), (9, 11)),
+        ((1, 1, 1), (7, 11)),
+    ]
+    found = set()
+    for dims, n_range in ranges:
+        alphas = tuple(Fraction(i + 1) for i in range(len(dims)))
+        got = cmd_scan_boundary(dims, alphas, n_range)
+        assert report_bytes(got) == report_bytes(oracle_scan_boundary(dims, alphas, n_range)), dims
+        found.update(e["nonorthogonal_pairs_with_k_squared"] > 0 for e in got["entries"])
+    assert found == {True, False}  # ranges with and without hits
+
+
+def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
+    # no class violates the bound; raised at m = 0, every orthogonal pair does
+    def raised(k, m, n):
+        return (k - m) ** 2 + m * (n - 2 * k + m) + (m == 0)
+
+    monkeypatch.setattr(cli, "lemma3_bound", raised)
+    monkeypatch.setattr(util, "lemma3_bound", raised)
+    for cls in (cls_of(7, (1, 2)), cls_of(9, (1, 1, 1)), cls_of(8, (3,))):
+        got, want = cmd_verify_lemma3(cls), oracle_verify_lemma3(cls)
+        assert 0 < len(got["violations"]) < got["pairs_checked"]
+        assert report_bytes(got) == report_bytes(want)
+
+
+def test_lemma4_disagreements_below_threshold_listed_like_the_oracle():
+    # below n >= 4k count k^2 no longer decides orthogonality, e.g. dims 3 at n=8
+    for cls in (cls_of(8, (3,)), cls_of(7, (1, 2)), cls_of(9, (2, 2))):
+        got = cli._lemma4_disagreements(cls, member_row(cls))
+        assert got
+        assert got == oracle_verify_lemma4(cls)["violations"]
+
+
+def test_label_commands_frame_option(tmp_path, capsys):
+    cls = cls_of(8, (1, 1))
+    args = ["--n", "8", "--alphas", "1,2", "--dims", "1,1"]
+    rotated = rotated_frame(standard_apartment(cls), PairIndex(1, 4))
+    good = tmp_path / "rotated.json"
+    good.write_text(json.dumps(serialize.frame_to_json(rotated)))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(serialize.frame_to_json(standard_apartment(cls_of(7, (1, 1))).frame)))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"n": 8}))
+    for command in ("verify-lemma3", "verify-lemma4"):
+        capsys.readouterr()
+        assert main([command] + args) == 0
+        plain = capsys.readouterr()
+        assert main([command, "--frame", str(good)] + args) == 0
+        framed = capsys.readouterr()
+        assert (framed.out, framed.err) == (plain.out, plain.err)
+        for bad in (small, broken):
+            assert main([command, "--frame", str(bad)] + args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+def test_member_file_shape_errors_exit_2(tmp_path, capsys):
+    good_class = {"n": 6, "alphas": ["1", "2"], "dims": [1, 1]}
+    cases = [
+        ({"members": []}, "'class'"),
+        ({"class": {"n": 4}, "members": []}, "'alphas'"),
+        ({"class": good_class, "members": 5}, "members"),
+        ({"class": good_class}, "'members'"),
+        ({"class": {**good_class, "n": "6"}, "members": []}, "class.n"),
+        ({"class": good_class, "members": [[0, 1, None, None, None]]}, "members[0]"),
+        ({"class": good_class, "members": [[0, 1, None, None, None, "x"]]}, "members[0][5]"),
+        ({"class": {**good_class, "alphas": ["1/0", "2"]}, "members": []}, "class.alphas[0]"),
+        ([], "member file"),
+    ]
+    path = tmp_path / "members.json"
+    for data, field in cases:
+        path.write_text(json.dumps(data))
+        assert main(["inexact", str(path)]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err, (data, captured.err)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+VALID_INPUTS = {
+    "inexact": {
+        "class": {"n": 6, "alphas": ["1", "-1/2"], "dims": [1, 2]},
+        "members": [[0, 1, 1, None, None, None], [None, 0, None, 1, 1, None]],
+    },
+    "refine": [
+        [["1", "0", "0"], ["0", "1", "0"]],
+        [["0", "1", "0"], ["0", "0", "1/2"]],
+    ],
+}
+
+
+def _paths(data, prefix=()):
+    yield prefix
+    children = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[path[0]] = _replaced(data[path[0]], path[1:], value)
+    return copy
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand and its input file: random JSON, or a valid input with
+    one field replaced by random JSON."""
+    command = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    if draw(st.booleans()):
+        return command, draw(JSON)
+    valid = VALID_INPUTS[command]
+    path = draw(st.sampled_from(list(_paths(valid))))
+    return command, _replaced(valid, path, draw(JSON))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_inputs())
+def test_fuzz_refine_and_inexact_keep_the_exit_contract(capsys, case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code = main([command, path])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err

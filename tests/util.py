@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from orthoapart import (
     Apartment,
@@ -28,6 +28,16 @@ from orthoapart import (
     span_sum,
     split_into_lines,
 )
+from orthoapart import serialize
+from orthoapart.apartments import (
+    _image_mask,
+    _pair_mask,
+    c_eval,
+    enumerate_members,
+    lemma3_bound,
+    standard_apartment,
+)
+from orthoapart.cli import SCHEMA_VERSION
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
                (Fraction(8, 17), Fraction(15, 17))]
@@ -158,3 +168,133 @@ def span_sum_image(op: SpectralOperator) -> Subspace:
     for _, x in op.eigenspaces:
         img = span_sum(img, x)
     return img
+
+
+# ---------------------------------------------------------------------------
+# exhaustive pair-scan oracles: the report of verify-lemma3, verify-lemma4
+# and scan-boundary computed by walking all M(M-1)/2 member pairs
+
+def _masks(ap: Apartment) -> Tuple[list, list, list]:
+    members = list(enumerate_members(ap))
+    pair_masks = [_pair_mask(m.assignment) for m in members]
+    image_masks = [_image_mask(m.assignment) for m in members]
+    return members, pair_masks, image_masks
+
+
+def oracle_verify_lemma3(cls: ClassDescriptor) -> dict:
+    n, k = cls.n, cls.rank
+    ap = standard_apartment(cls)
+    members, pair_masks, image_masks = _masks(ap)
+    bounds = [lemma3_bound(k, m, n) for m in range(k + 1)]
+    violations = []
+    histogram: dict = {}
+    orth_pairs = 0
+    orth_k2 = 0
+    pairs_checked = 0
+    for s in range(len(members)):
+        ps, qs = pair_masks[s], image_masks[s]
+        for t in range(s + 1, len(members)):
+            pairs_checked += 1
+            m = (qs & image_masks[t]).bit_count()
+            count = (ps & pair_masks[t]).bit_count()
+            bound = bounds[m]
+            histogram.setdefault(m, {}).setdefault(count, 0)
+            histogram[m][count] += 1
+            if count < bound:
+                violations.append(
+                    {"pair": [s, t], "m": m, "count": count, "bound": bound}
+                )
+            if m == 0:
+                orth_pairs += 1
+                if count == k * k:
+                    orth_k2 += 1
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify-lemma3",
+        "class": serialize.class_to_json(cls),
+        "n": n,
+        "k": k,
+        "members": len(members),
+        "pairs_checked": pairs_checked,
+        "orthogonal_pairs": orth_pairs,
+        "orthogonal_pairs_with_k_squared": orth_k2,
+        "violations": violations,
+        "counts_histogram": {
+            str(m): sorted([c, f] for c, f in hist.items())
+            for m, hist in sorted(histogram.items())
+        },
+    }
+
+
+def oracle_verify_lemma4(cls: ClassDescriptor) -> dict:
+    """The lemma-4 report, without the n >= 4k guard."""
+    n, k = cls.n, cls.rank
+    ap = standard_apartment(cls)
+    members, pair_masks, image_masks = _masks(ap)
+    disagreements = []
+    pairs_checked = 0
+    k2 = k * k
+    for s in range(len(members)):
+        ps, qs = pair_masks[s], image_masks[s]
+        for t in range(s + 1, len(members)):
+            pairs_checked += 1
+            by_count = (ps & pair_masks[t]).bit_count() == k2
+            direct = qs & image_masks[t] == 0
+            if by_count != direct:
+                disagreements.append(
+                    {"pair": [s, t], "by_count": by_count, "direct": direct}
+                )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify-lemma4",
+        "class": serialize.class_to_json(cls),
+        "n": n,
+        "k": k,
+        "members": len(members),
+        "pairs_checked": pairs_checked,
+        "violations": disagreements,
+    }
+
+
+def oracle_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int]) -> dict:
+    k = sum(cls_dims)
+    lo, hi = n_range
+    ns = [n for n in range(lo, hi + 1) if 2 * k < n < 4 * k]
+    entries = []
+    for n in ns:
+        cls = ClassDescriptor(n, tuple(alphas), tuple(cls_dims))
+        c0 = c_eval(0, k, n)
+        m_star = Fraction(4 * k - n, 2)
+        integral = m_star.denominator == 1 and 0 < m_star < k
+        entry = {
+            "n": n,
+            "c0": str(c0),
+            "m_star": str(m_star),
+            "m_star_integral": integral,
+            "c_at_m_star": str(c_eval(m_star, k, n)) if integral else None,
+            "c0_equals_c_m_star": bool(integral and c_eval(m_star, k, n) == c0),
+        }
+        ap = standard_apartment(cls)
+        members, pair_masks, image_masks = _masks(ap)
+        k2 = k * k
+        found = 0
+        first_pair = None
+        for s in range(len(members)):
+            ps, qs = pair_masks[s], image_masks[s]
+            for t in range(s + 1, len(members)):
+                if qs & image_masks[t] != 0 and (ps & pair_masks[t]).bit_count() == k2:
+                    found += 1
+                    if first_pair is None:
+                        first_pair = [s, t]
+        entry["nonorthogonal_pairs_with_k_squared"] = found
+        entry["first_such_pair"] = first_pair
+        entries.append(entry)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "scan-boundary",
+        "k": k,
+        "dims": list(cls_dims),
+        "alphas": [str(a) for a in alphas],
+        "entries": entries,
+        "violations": [],
+    }
