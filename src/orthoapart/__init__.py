@@ -58,7 +58,6 @@ from .rigidity import (
     example_comm_swap,
     example_orth_swap,
     gram_obstruction,
-    permutation_inducer,
     signed_permutation_matrix,
     witness_commuting_operator,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "gram_obstruction",
     "conjugate_operator",
     "signed_permutation_matrix",
-    "permutation_inducer",
     "witness_commuting_operator",
     "errors",
 ]

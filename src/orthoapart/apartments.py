@@ -79,18 +79,18 @@ class Labeling:
     def image_indices(self) -> frozenset:
         return frozenset(i for i, t in enumerate(self.assignment) if t is not None)
 
-    def validate(self, ap: Apartment) -> None:
+    def validate(self, cls: ClassDescriptor) -> None:
         a = self.assignment
-        if len(a) != ap.n:
-            raise NotAMember(f"labeling length {len(a)} in an apartment of dimension {ap.n}")
-        for t, d in enumerate(ap.cls.dims):
+        if len(a) != cls.n:
+            raise NotAMember(f"labeling length {len(a)} in an apartment of dimension {cls.n}")
+        for t, d in enumerate(cls.dims):
             if sum(1 for s in a if s == t) != d:
                 raise NotAMember(f"slot {t} does not receive exactly {d} frame lines")
 
     def to_operator(self, ap: Apartment) -> SpectralOperator:
         """The spectral operator whose eigenspace for slot t is the sum of
         the frame lines labeled t."""
-        self.validate(ap)
+        self.validate(ap.cls)
         eig = []
         for t, alpha in enumerate(ap.cls.alphas):
             proj = None
@@ -208,10 +208,21 @@ def image_overlap(a: Labeling, b: Labeling) -> int:
     return (_image_mask(a.assignment) & _image_mask(b.assignment)).bit_count()
 
 
+def trace_pairing(a: Labeling, b: Labeling, cls: ClassDescriptor) -> Fraction:
+    """tr(AB) for two members of a common apartment: the frame lines are
+    orthogonal rank-one projections, so only the lines both members label
+    contribute, each the product of its two eigenvalues."""
+    return sum(
+        (cls.alphas[s] * cls.alphas[t] for s, t in zip(a.assignment, b.assignment)
+         if s is not None and t is not None),
+        Fraction(0),
+    )
+
+
 def n_count(a: Labeling, b: Labeling, ap: Apartment) -> int:
     """The number of orthocomplementary subsets C_ij containing both members."""
-    a.validate(ap)
-    b.validate(ap)
+    a.validate(ap.cls)
+    b.validate(ap.cls)
     return (_pair_mask(a.assignment) & _pair_mask(b.assignment)).bit_count()
 
 
@@ -278,7 +289,7 @@ def compute_S(i: int, members: Sequence[Labeling], ap: Apartment) -> Subspace:
     if not 0 <= i < ap.n:
         raise OrthoapartError(f"frame index {i} out of range")
     for a in members:
-        a.validate(ap)
+        a.validate(ap.cls)
     support = _support_indices(i, members, ap.n)
     vecs = []
     for j in sorted(support):
@@ -287,18 +298,19 @@ def compute_S(i: int, members: Sequence[Labeling], ap: Apartment) -> Subspace:
 
 
 def is_orthogonally_inexact(
-    members: Sequence[Labeling], ap: Apartment
+    members: Sequence[Labeling], cls: ClassDescriptor
 ) -> Tuple[bool, Optional[PairIndex]]:
     """Decide whether some other apartment contains the whole member set.
 
     Inexact iff some S_i has dimension >= 2; the returned witness pair
     (i, j) satisfies: the set lies inside A(+i,+j) union A(-i,-j).  When
-    exact, every S_i is a single line and the apartment is unique.
+    exact, every S_i is a single line and the apartment is unique.  Only
+    the labels are read, so no frame is needed.
     """
     for a in members:
-        a.validate(ap)
-    for i in range(ap.n):
-        support = _support_indices(i, members, ap.n)
+        a.validate(cls)
+    for i in range(cls.n):
+        support = _support_indices(i, members, cls.n)
         if len(support) >= 2:
             j = min(x for x in support if x != i)
             return True, PairIndex(i, j)
@@ -318,14 +330,14 @@ def verify_maximal_inexact(p: PairIndex, ap: Apartment) -> bool:
     """Check that the type-(1) set at pair p is orthogonally inexact and
     that every single-member extension is exact.  Exhaustive."""
     base = type_one_subset(p, ap)
-    inexact, _ = is_orthogonally_inexact(base, ap)
+    inexact, _ = is_orthogonally_inexact(base, ap.cls)
     if not inexact:
         return False
     base_keys = {a.assignment for a in base}
     for a in enumerate_members(ap):
         if a.assignment in base_keys:
             continue
-        extended, _ = is_orthogonally_inexact(base + [a], ap)
+        extended, _ = is_orthogonally_inexact(base + [a], ap.cls)
         if extended:
             return False
     return True
@@ -400,5 +412,5 @@ def membership_labeling(ap: Apartment, op: SpectralOperator) -> Labeling:
                 raise NotAMember(f"frame line {i} is split across eigenspaces")
         assignment.append(slot)
     lab = Labeling(tuple(assignment))
-    lab.validate(ap)
+    lab.validate(ap.cls)
     return lab

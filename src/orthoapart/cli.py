@@ -23,7 +23,6 @@ from .apartments import (
     lemma3_bound,
     member_pairs,
     member_row,
-    standard_apartment,
 )
 from .compatibility import refine_to_frame
 from .errors import IncompatibleFamily, OrthoapartError, ThresholdViolation
@@ -40,12 +39,21 @@ from .subspaces import Subspace
 SCHEMA_VERSION = 1
 
 
-def _apartment(cls: ClassDescriptor, frame_path: Optional[str]) -> Apartment:
-    if frame_path is None:
-        return standard_apartment(cls)
-    with open(frame_path) as fh:
-        frame = serialize.frame_from_json(json.load(fh))
-    return Apartment(frame, cls)
+def _read_json(path: str):
+    """Parse a JSON input file.  Nesting too deep for the parser is an input
+    error, not a crash."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise OrthoapartError(f"{path}: JSON nested too deeply") from None
+
+
+def _check_frame(cls: ClassDescriptor, frame_path: Optional[str]) -> None:
+    """Load a --frame file and check it against the class.  The label
+    decisions do not read the frame."""
+    if frame_path is not None:
+        Apartment(serialize.frame_from_json(_read_json(frame_path)), cls)
 
 
 def _pairs_where(cls: ClassDescriptor, row: list, bad) -> list:
@@ -84,8 +92,7 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
     n, k = cls.n, cls.rank
     if n < 2 * k + 1:
         raise OrthoapartError(f"need n > 2k (n={n}, k={k})")
-    if frame_path is not None:
-        _apartment(cls, frame_path)
+    _check_frame(cls, frame_path)
     row = member_row(cls)
     members = len(row) + 1
     histogram: dict = {}
@@ -120,8 +127,7 @@ def cmd_verify_lemma4(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
     n, k = cls.n, cls.rank
     if n < 4 * k:
         raise ThresholdViolation(f"lemma requires n >= 4k (n={n}, k={k})")
-    if frame_path is not None:
-        _apartment(cls, frame_path)
+    _check_frame(cls, frame_path)
     row = member_row(cls)
     members = len(row) + 1
     return {
@@ -179,7 +185,8 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
 
 def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
     """Build the requested swap over a full apartment of bystanders and emit
-    its preservation/obstruction certificate."""
+    its preservation/obstruction certificate, decided on labels (see
+    rigidity)."""
     n, k = cls.n, cls.rank
     if name == "orth":
         x = Subspace.coordinate(n, range(k))
@@ -201,7 +208,7 @@ def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
         "command": "counterexample",
         "name": name,
         "class": serialize.class_to_json(cls),
-        "domain_size": len(t.domain),
+        "domain_size": len(t.members),
         "preserves": {
             "orthogonal": check_preservation(t, "orthogonal"),
             "commute": check_preservation(t, "commute"),
@@ -222,8 +229,7 @@ def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
 
 def cmd_refine(family_path: str, n: Optional[int] = None) -> dict:
     """Refine a family file (JSON list of spanning sets) into a frame."""
-    with open(family_path) as fh:
-        family = serialize.family_from_json(json.load(fh), ambient_dim=n)
+    family = serialize.family_from_json(_read_json(family_path), ambient_dim=n)
     frame = refine_to_frame(family, ambient_dim=n)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -235,10 +241,9 @@ def cmd_refine(family_path: str, n: Optional[int] = None) -> dict:
 
 def cmd_inexact(members_path: str, frame_path: Optional[str] = None) -> dict:
     """Decide orthogonal inexactness of a member set given as labelings."""
-    with open(members_path) as fh:
-        cls, members = serialize.member_set_from_json(json.load(fh))
-    ap = _apartment(cls, frame_path)
-    inexact, witness = is_orthogonally_inexact(members, ap)
+    cls, members = serialize.member_set_from_json(_read_json(members_path))
+    _check_frame(cls, frame_path)
+    inexact, witness = is_orthogonally_inexact(members, cls)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "inexact",

@@ -3,21 +3,29 @@
 Two generators produce finite relation-preserving swaps that no unitary or
 anti-unitary conjugation can induce: the image-swap (two distinct operators
 sharing one image, everything else fixed) and the eigenvalue-swap for a
-class with two equal-dimensional eigenspaces.  Non-inducibility is
-certified through the trace pairing tr(AB), which any unitary or
-anti-unitary conjugation preserves; the positive direction is only checked
-for apartment-aligned transformations where the conjugating operator can be
-a permutation of frame lines.
+class with two equal-dimensional eigenspaces.  Each swap permutes the
+members of one apartment.  Non-inducibility is certified through the trace
+pairing tr(AB), which any unitary or anti-unitary conjugation preserves.
+
+The certificate is decided on labels, with no operator materialized:
+members of one apartment commute pairwise, two members are orthogonal iff
+their label images are disjoint, and tr(AB) = sum_i alpha(a_i) alpha(b_i)
+over the frame lines i that both label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .apartments import Apartment, Labeling, enumerate_members
+from .apartments import (
+    Apartment,
+    Labeling,
+    enumerate_members,
+    labelings_orthogonal,
+    trace_pairing,
+)
 from .compatibility import Frame, split_into_lines
 from .errors import (
     DimensionMismatch,
@@ -27,45 +35,35 @@ from .errors import (
     ProjectionClass,
 )
 from .matrices import Matrix
-from .operators import (
-    ClassDescriptor,
-    SpectralOperator,
-    commutes,
-    image_of,
-    materialize,
-    orthogonal,
-)
+from .operators import ClassDescriptor, SpectralOperator, image_of
 from .subspaces import Subspace, span_sum
 
 
 @dataclass(frozen=True)
 class FiniteTransformation:
-    """A bijection of a finite set of same-class operators, given as a
-    permutation of domain indices."""
+    """A bijection of members of one apartment, given as a permutation of
+    member indices: member s goes to member mapping[s]."""
 
-    domain: Tuple[SpectralOperator, ...]
+    apartment: Apartment
+    members: Tuple[Labeling, ...]
     mapping: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "mapping", tuple(self.mapping))
-        if sorted(self.mapping) != list(range(len(self.domain))):
-            raise OrthoapartError("mapping is not a permutation of the domain")
-        classes = {op.cls for op in self.domain}
-        if len(classes) > 1:
-            raise OrthoapartError("all domain operators must share one class")
+        if sorted(self.mapping) != list(range(len(self.members))):
+            raise OrthoapartError("mapping is not a permutation of the members")
+        for m in self.members:
+            m.validate(self.apartment.cls)
 
-    def image(self, s: int) -> SpectralOperator:
-        return self.domain[self.mapping[s]]
-
-    @classmethod
-    def identity(cls, domain: Sequence[SpectralOperator]) -> "FiniteTransformation":
-        return cls(tuple(domain), tuple(range(len(domain))))
+    def operator(self, s: int) -> SpectralOperator:
+        """Member s as a spectral operator, materialized on demand."""
+        return self.members[s].to_operator(self.apartment)
 
 
 @dataclass(frozen=True)
 class GramWitness:
-    """A domain pair whose trace pairing changes under the transformation,
+    """A member pair whose trace pairing changes under the transformation,
     proving no unitary or anti-unitary conjugation induces it."""
 
     s: int
@@ -93,13 +91,11 @@ def _swap_transformation(
     ap: Apartment, a: Labeling, b: Labeling
 ) -> FiniteTransformation:
     """All apartment members as bystanders, with a and b transposed."""
-    members = list(enumerate_members(ap))
-    keys = [m.assignment for m in members]
-    ia, ib = keys.index(a.assignment), keys.index(b.assignment)
+    members = tuple(enumerate_members(ap))
+    ia, ib = members.index(a), members.index(b)
     mapping = list(range(len(members)))
     mapping[ia], mapping[ib] = ib, ia
-    domain = tuple(m.to_operator(ap) for m in members)
-    return FiniteTransformation(domain, tuple(mapping))
+    return FiniteTransformation(ap, members, tuple(mapping))
 
 
 def example_orth_swap(cls: ClassDescriptor, x: Subspace) -> FiniteTransformation:
@@ -162,29 +158,31 @@ def example_comm_swap(
 
 def check_preservation(t: FiniteTransformation, relation: str) -> bool:
     """True iff the relation holds for (A, B) exactly when it holds for
-    (f(A), f(B)), over all domain pairs.  relation: 'commute' | 'orthogonal'."""
-    rel = {"commute": commutes, "orthogonal": orthogonal}[relation]
-    d = t.domain
-    for s in range(len(d)):
-        for u in range(s + 1, len(d)):
-            if rel(d[s], d[u]) != rel(t.image(s), t.image(u)):
-                return False
-    return True
+    (f(A), f(B)), over all member pairs.  relation: 'commute' | 'orthogonal'.
+
+    Members of one apartment commute pairwise, and two of them are
+    orthogonal iff their label images are disjoint."""
+    rel = {"commute": lambda a, b: True, "orthogonal": labelings_orthogonal}[relation]
+    d = t.members
+    fd = [d[i] for i in t.mapping]
+    return all(
+        rel(d[s], d[u]) == rel(fd[s], fd[u])
+        for s in range(len(d))
+        for u in range(s + 1, len(d))
+    )
 
 
 def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
-    """First domain pair (s, u) with tr(A_s A_u) != tr(f(A_s) f(A_u)), or
+    """First member pair (s, u) with tr(A_s A_u) != tr(f(A_s) f(A_u)), or
     None.  A witness rules out every unitary and anti-unitary inducer, both
-    of which preserve the real trace pairing of self-adjoint operators."""
-    mats = [materialize(op) for op in t.domain]
-
-    def tr(i, j):
-        return (mats[i] @ mats[j]).trace().re
-
-    for s in range(len(t.domain)):
-        for u in range(s + 1, len(t.domain)):
-            lhs = tr(s, u)
-            rhs = tr(t.mapping[s], t.mapping[u])
+    of which preserve the real trace pairing of self-adjoint operators.
+    The pairing is read off the labels (see trace_pairing)."""
+    d, cls = t.members, t.apartment.cls
+    fd = [d[i] for i in t.mapping]
+    for s in range(len(d)):
+        for u in range(s + 1, len(d)):
+            lhs = trace_pairing(d[s], d[u], cls)
+            rhs = trace_pairing(fd[s], fd[u], cls)
             if lhs != rhs:
                 return GramWitness(s, u, lhs, rhs)
     return None
@@ -207,26 +205,6 @@ def signed_permutation_matrix(n: int, perm: Sequence[int], signs: Sequence[int] 
         col[perm[i]] = signs[i]
         cols.append(col)
     return Matrix.from_columns(cols)
-
-
-def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
-    """Search for a coordinate-permutation unitary U with
-    f(A) = U A U* for every domain operator.
-
-    Only the apartment-aligned positive check: deciding general inducibility
-    would need an intertwining solve with a unitarity constraint, which
-    exact rational arithmetic cannot close.  Feasible for small n only.
-    """
-    if not t.domain:
-        return Matrix.identity(0)
-    n = t.domain[0].n
-    mats = [materialize(op) for op in t.domain]
-    for perm in permutations(range(n)):
-        u = signed_permutation_matrix(n, perm)
-        uh = u.adjoint()
-        if all(u @ mats[s] @ uh == mats[t.mapping[s]] for s in range(len(mats))):
-            return u
-    return None
 
 
 # ---------------------------------------------------------------------------

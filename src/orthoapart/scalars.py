@@ -145,7 +145,9 @@ def as_scalar(x) -> GaussianRational:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the ``"p/q"`` / ``"p/q+r/s i"`` text form.  Whitespace is ignored.
-    Malformed text, a zero denominator included, raises ValueError."""
+    Malformed text, a zero denominator included, raises ValueError.  So does
+    an exponent form such as ``"1e300000"``, whose expansion alone could
+    take minutes."""
     try:
         return _parse_scalar(text)
     except ZeroDivisionError:
@@ -156,6 +158,8 @@ def _parse_scalar(text: str) -> GaussianRational:
     s = "".join(text.split())
     if not s:
         raise ValueError("empty scalar string")
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent forms are not exact scalars: {text!r}")
     if not s.endswith("i"):
         return GaussianRational(Fraction(s))
     body = s[:-1]

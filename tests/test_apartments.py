@@ -76,9 +76,9 @@ def test_all_members_commute():
 def test_labeling_validation():
     ap = standard_apartment(cls_of(4, (1, 1)))
     with pytest.raises(NotAMember):
-        Labeling((0, 0, None, None)).validate(ap)
+        Labeling((0, 0, None, None)).validate(ap.cls)
     with pytest.raises(NotAMember):
-        Labeling((0, 1, None)).validate(ap)
+        Labeling((0, 1, None)).validate(ap.cls)
 
 
 def test_predicates():
@@ -200,12 +200,12 @@ def test_compute_S():
 def test_is_orthogonally_inexact():
     ap = standard_apartment(cls_of(8, (1, 1)))
     members = list(enumerate_members(ap))
-    inexact, witness = is_orthogonally_inexact(members, ap)
+    inexact, witness = is_orthogonally_inexact(members, ap.cls)
     assert not inexact and witness is None
-    inexact, witness = is_orthogonally_inexact([], ap)
+    inexact, witness = is_orthogonally_inexact([], ap.cls)
     assert inexact and witness is not None
     t1 = type_one_subset(PairIndex(2, 5), ap)
-    inexact, witness = is_orthogonally_inexact(t1, ap)
+    inexact, witness = is_orthogonally_inexact(t1, ap.cls)
     assert inexact
     assert {witness.i, witness.j} == {2, 5}
 

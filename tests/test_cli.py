@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from orthoapart import cli, serialize
 from orthoapart.apartments import (
+    Labeling,
     PairIndex,
     member_row,
     rotated_frame,
@@ -27,7 +30,7 @@ from orthoapart.operators import ClassDescriptor
 from fractions import Fraction
 
 import util
-from util import oracle_scan_boundary, oracle_verify_lemma3, oracle_verify_lemma4
+from util import compositions, oracle_scan_boundary, oracle_verify_lemma3, oracle_verify_lemma4
 
 
 def cls_of(n, dims):
@@ -93,6 +96,26 @@ def test_counterexample_reports():
     comm = cmd_counterexample("comm", cls_of(4, (1, 1)))
     assert comm["preserves"]["commute"]
     assert {comm["witness"]["lhs"], comm["witness"]["rhs"]} == {"1", "2"}
+    # members 0 = (0,1,1,-,...) and 1 = (0,1,-,1,...); the swap sends 0 to (1,1,0,-,...)
+    big = cmd_counterexample("orth", cls_of(12, (1, 2)))
+    assert big["domain_size"] == 660
+    assert big["preserves"] == {"orthogonal": True, "commute": True}
+    assert big["witness"] == {"s": 0, "t": 1, "lhs": "5", "rhs": "6"}
+
+
+def test_counterexample_materializes_no_operator(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the certificate materialized an operator")
+
+    monkeypatch.setattr(Labeling, "to_operator", boom)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "orthoapart"]:
+        for name in ("materialize", "commutes", "orthogonal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    for name, dims in (("orth", (1, 2)), ("comm", (2, 2))):
+        report = cmd_counterexample(name, cls_of(6, dims))
+        assert report["preserves"] == {"orthogonal": True, "commute": True}
+        assert report["witness"] is not None
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -178,6 +201,17 @@ def test_cli_inexact(tmp_path):
     assert decision["witness"] is not None
 
 
+def test_inexact_builds_no_frame(tmp_path, capsys):
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps({"class": {"n": 400, "alphas": [], "dims": []}, "members": []}))
+    start = time.perf_counter()
+    assert main(["inexact", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    decision = json.loads(capsys.readouterr().out)
+    assert decision["inexact"] is True
+    assert decision["witness"] == [0, 1]
+
+
 def test_cmd_refine_empty_family_needs_n(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]")
@@ -189,15 +223,6 @@ def test_cmd_refine_empty_family_needs_n(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the one-row label scan against the exhaustive pair walk
-
-def compositions(k):
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in compositions(k - first):
-            yield (first,) + rest
-
 
 def report_bytes(report):
     return json.dumps(report, indent=2, sort_keys=True)
@@ -312,6 +337,35 @@ def test_member_file_shape_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err, (data, captured.err)
+
+
+def test_exponent_scalar_exits_2_quickly(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([[["1e300000"]]]))
+    start = time.perf_counter()
+    assert main(["refine", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponent" in captured.err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps({"class": {"n": 7, "alphas": ["1"], "dims": [1]}, "members": []}))
+    label_args = ["--n", "7", "--alphas", "1,2", "--dims", "1,2"]
+    for argv in (
+        ["refine", str(deep)],
+        ["inexact", str(deep)],
+        ["inexact", str(members), "--frame", str(deep)],
+        ["verify-lemma3", "--frame", str(deep)] + label_args,
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err, argv
 
 
 JSON = st.recursive(

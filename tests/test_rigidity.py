@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,6 @@ from orthoapart import (
     image_of,
     intersect,
     materialize,
-    permutation_inducer,
     projection_of,
     signed_permutation_matrix,
     standard_apartment,
@@ -27,16 +27,23 @@ from orthoapart.apartments import enumerate_members
 from orthoapart.errors import NoRoom, NotAnEigenline, OrthoapartError, ProjectionClass
 from orthoapart.subspaces import Subspace
 
-from util import random_frame, random_labeling
+from util import (
+    compositions,
+    oracle_check_preservation,
+    oracle_gram_obstruction,
+    permutation_inducer,
+    random_frame,
+    random_labeling,
+)
 
 
 def test_orth_swap_basic():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     x = Subspace.coordinate(4, [0, 1])
     t = example_orth_swap(cls, x)
-    swapped = [s for s in range(len(t.domain)) if t.mapping[s] != s]
+    swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     assert len(swapped) == 2
-    a, b = (t.domain[s] for s in swapped)
+    a, b = (t.operator(s) for s in swapped)
     assert a.eigenspaces != b.eigenspaces
     assert image_of(a) == image_of(b) == x
     assert check_preservation(t, "orthogonal")
@@ -47,12 +54,12 @@ def test_orth_swap_trace_values():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     x = Subspace.coordinate(4, [0, 1])
     t = example_orth_swap(cls, x)
-    swapped = [s for s in range(len(t.domain)) if t.mapping[s] != s]
-    a, b = (t.domain[s] for s in swapped)
+    swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
+    a, b = (t.operator(s) for s in swapped)
     # bystander with image span(e1, e3): pairs 1 with A, 2 with B
     c = next(
         op
-        for op in t.domain
+        for op in map(t.operator, range(len(t.members)))
         if op.eigenspaces[0][1] == Subspace.coordinate(4, [0])
         and op.eigenspaces[1][1] == Subspace.coordinate(4, [2])
     )
@@ -70,8 +77,8 @@ def test_comm_swap_basic():
     t = example_comm_swap(
         4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
     )
-    swapped = [s for s in range(len(t.domain)) if t.mapping[s] != s]
-    a, b = (t.domain[s] for s in swapped)
+    swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
+    a, b = (t.operator(s) for s in swapped)
     assert materialize(a) == Matrix.diagonal([1, 2, 0, 0])
     assert materialize(b) == Matrix.diagonal([2, 1, 0, 0])
     assert commutes(a, b)
@@ -85,9 +92,9 @@ def test_comm_swap_witness_values():
         4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
     )
     # bystander C = 1*P_e1 + 2*P_e3 pairs differently with A and B
-    mats = [materialize(op) for op in t.domain]
+    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
     c_idx = mats.index(Matrix.diagonal([1, 0, 2, 0]))
-    swapped = [s for s in range(len(t.domain)) if t.mapping[s] != s]
+    swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     a_idx, b_idx = swapped
     tr = lambda i, j: (mats[i] @ mats[j]).trace().re
     assert {tr(a_idx, c_idx), tr(b_idx, c_idx)} == {Fraction(1), Fraction(2)}
@@ -106,15 +113,15 @@ def test_swap_is_involution():
     t = example_comm_swap(
         4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
     )
-    twice = [t.mapping[t.mapping[s]] for s in range(len(t.domain))]
-    assert twice == list(range(len(t.domain)))
+    twice = [t.mapping[t.mapping[s]] for s in range(len(t.members))]
+    assert twice == list(range(len(t.members)))
 
 
 def test_identity_preserves_everything():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     ap = standard_apartment(cls)
-    domain = [m.to_operator(ap) for m in list(enumerate_members(ap))[:6]]
-    t = FiniteTransformation.identity(domain)
+    members = list(enumerate_members(ap))[:6]
+    t = FiniteTransformation(ap, members, range(len(members)))
     assert check_preservation(t, "commute")
     assert check_preservation(t, "orthogonal")
     assert gram_obstruction(t) is None
@@ -129,7 +136,7 @@ def test_gram_obstruction_silent_on_conjugations():
     conjugated = [materialize(conjugate_operator(op, u)) for op in domain]
     mats = [materialize(op) for op in domain]
     mapping = [mats.index(c) for c in conjugated]
-    t = FiniteTransformation(tuple(domain), tuple(mapping))
+    t = FiniteTransformation(ap, members, mapping)
     assert gram_obstruction(t) is None
     assert check_preservation(t, "commute")
     assert check_preservation(t, "orthogonal")
@@ -143,17 +150,76 @@ def test_permutation_inducer_positive_and_negative():
 
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     ap = standard_apartment(cls)
-    domain = [m.to_operator(ap) for m in enumerate_members(ap)]
+    members = list(enumerate_members(ap))
+    domain = [m.to_operator(ap) for m in members]
     u = signed_permutation_matrix(4, [1, 0, 2, 3])
     mats = [materialize(op) for op in domain]
     conjugated = [materialize(conjugate_operator(op, u)) for op in domain]
     mapping = tuple(mats.index(c) for c in conjugated)
-    aligned = FiniteTransformation(tuple(domain), mapping)
+    aligned = FiniteTransformation(ap, members, mapping)
     found = permutation_inducer(aligned)
     assert found is not None
     uh = found.adjoint()
     for s in range(len(domain)):
         assert found @ mats[s] @ uh == mats[mapping[s]]
+
+
+ALPHAS = (Fraction(-3, 2), Fraction(7), Fraction(1, 2), Fraction(-7, 3), Fraction(5))
+
+
+def _certificate_cases():
+    """Both swaps wherever they exist on every class with n <= 4 and two or
+    more eigenvalues, the identity and a signed coordinate rotation on those
+    of at most 12 members, and every transposition of two members of
+    (4, (1, 1)), on all members and beside member 0 only.  The matrix
+    oracle walks every member pair of a transformation that preserves the
+    relation: at n = 5 that takes minutes over all classes, so n stops
+    at 4."""
+    for n in range(2, 5):
+        for k in range(2, n + 1):
+            for dims in compositions(k):
+                if len(dims) < 2:
+                    continue
+                cls = ClassDescriptor(n, ALPHAS[: len(dims)], dims)
+                swap = example_orth_swap(cls, Subspace.coordinate(n, range(k)))
+                ap, members = swap.apartment, swap.members
+                yield swap
+                if len(members) <= 12:
+                    yield FiniteTransformation(ap, members, range(len(members)))
+                    # U e_i = -e_(i+1) moves the label of line i to line i+1
+                    rotated = [m.assignment[-1:] + m.assignment[:-1] for m in members]
+                    keys = [m.assignment for m in members]
+                    yield FiniteTransformation(ap, members, [keys.index(r) for r in rotated])
+                if len(dims) == 2 and dims[0] == dims[1]:
+                    d = dims[0]
+                    yield example_comm_swap(
+                        n, ALPHAS[0], ALPHAS[1], d,
+                        Subspace.coordinate(n, range(d)), Subspace.coordinate(n, range(d, 2 * d)),
+                    )
+    ap = standard_apartment(ClassDescriptor(4, ALPHAS[:2], (1, 1)))
+    members = list(enumerate_members(ap))
+    for a, b in combinations(range(len(members)), 2):
+        mapping = list(range(len(members)))
+        mapping[a], mapping[b] = b, a
+        yield FiniteTransformation(ap, members, mapping)
+        # beside member 0 alone, a relation is preserved iff member 0
+        # relates to a and to b alike
+        if a > 0:
+            yield FiniteTransformation(ap, (members[0], members[a], members[b]), (0, 2, 1))
+
+
+def test_label_certificate_matches_matrix_oracle():
+    preserved, witnesses = set(), []
+    for t in _certificate_cases():
+        for relation in ("commute", "orthogonal"):
+            got = check_preservation(t, relation)
+            assert got == oracle_check_preservation(t, relation), (t.apartment.cls, t.mapping, relation)
+            preserved.add(got)
+        witness = gram_obstruction(t)
+        assert witness == oracle_gram_obstruction(t), (t.apartment.cls, t.mapping)
+        witnesses.append(witness)
+    assert preserved == {True, False}
+    assert None in witnesses and any(w is not None for w in witnesses)
 
 
 def test_witness_projection_class():

@@ -55,6 +55,12 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_parse_rejects_exponent_forms():
+    for bad in ["1e3", "1E3", "-2/3e5", "1e300000", "1+1e3i"]:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(bad)
+
+
 @given(scalars)
 def test_text_round_trip(z):
     assert parse_scalar(str(z)) == z

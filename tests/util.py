@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import permutations
+from typing import List, Optional, Sequence, Tuple
 
 from orthoapart import (
     Apartment,
@@ -20,11 +21,14 @@ from orthoapart import (
     Matrix,
     SpectralOperator,
     Subspace,
+    commutes,
     complement_within,
     image_of,
     intersect,
     materialize,
+    orthogonal,
     projection_of,
+    signed_permutation_matrix,
     span_sum,
     split_into_lines,
 )
@@ -38,6 +42,7 @@ from orthoapart.apartments import (
     standard_apartment,
 )
 from orthoapart.cli import SCHEMA_VERSION
+from orthoapart.rigidity import FiniteTransformation, GramWitness
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
                (Fraction(8, 17), Fraction(15, 17))]
@@ -70,6 +75,16 @@ def random_frame(n: int, rng: random.Random, rotations: int = 3) -> Frame:
         projection_of([u.column(i)], ambient_dim=n) for i in range(n)
     )
     return Frame(n, lines)
+
+
+def compositions(k: int):
+    """Every ordered tuple of positive integers summing to k."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
 
 
 def random_labeling(cls: ClassDescriptor, rng: random.Random) -> Labeling:
@@ -168,6 +183,55 @@ def span_sum_image(op: SpectralOperator) -> Subspace:
     for _, x in op.eigenspaces:
         img = span_sum(img, x)
     return img
+
+
+# ---------------------------------------------------------------------------
+# operator-matrix oracles for the counterexample certificate: the relations
+# and the trace pairing evaluated on the materialized members
+
+def oracle_check_preservation(t: FiniteTransformation, relation: str) -> bool:
+    rel = {"commute": commutes, "orthogonal": orthogonal}[relation]
+    d = [t.operator(s) for s in range(len(t.members))]
+    for s in range(len(d)):
+        for u in range(s + 1, len(d)):
+            if rel(d[s], d[u]) != rel(d[t.mapping[s]], d[t.mapping[u]]):
+                return False
+    return True
+
+
+def oracle_gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
+    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
+
+    def tr(i, j):
+        return (mats[i] @ mats[j]).trace().re
+
+    for s in range(len(mats)):
+        for u in range(s + 1, len(mats)):
+            lhs = tr(s, u)
+            rhs = tr(t.mapping[s], t.mapping[u])
+            if lhs != rhs:
+                return GramWitness(s, u, lhs, rhs)
+    return None
+
+
+def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
+    """Search for a coordinate-permutation unitary U with
+    f(A) = U A U* for every member.
+
+    Only the apartment-aligned positive check: deciding general inducibility
+    would need an intertwining solve with a unitarity constraint, which
+    exact rational arithmetic cannot close.  Feasible for small n only.
+    """
+    if not t.members:
+        return Matrix.identity(0)
+    n = t.apartment.n
+    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
+    for perm in permutations(range(n)):
+        u = signed_permutation_matrix(n, perm)
+        uh = u.adjoint()
+        if all(u @ mats[s] @ uh == mats[t.mapping[s]] for s in range(len(mats))):
+            return u
+    return None
 
 
 # ---------------------------------------------------------------------------
