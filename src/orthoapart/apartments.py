@@ -5,18 +5,20 @@ An apartment is the set of class members whose maximal eigenspaces are
 spanned by subsets of one frame.  Members are stored combinatorially: a
 labeling assigns to each frame line either an eigenvalue slot or nothing
 (the kernel), with exactly dims[t] lines per slot t.  All the subset
-predicates are label comparisons, so counting is O(1) per index pair and
-exact by construction.
+predicates are label comparisons, so counting is exact by construction, and
+a scan of all member pairs reads member 0's joint-label tables
+(member_tables), whose number does not grow with n.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation
@@ -76,9 +78,6 @@ class Labeling:
     def slot(self, i: int) -> Slot:
         return self.assignment[i]
 
-    def image_indices(self) -> frozenset:
-        return frozenset(i for i, t in enumerate(self.assignment) if t is not None)
-
     def validate(self, cls: ClassDescriptor) -> None:
         a = self.assignment
         if len(a) != cls.n:
@@ -107,11 +106,7 @@ class Labeling:
 
 def member_count(ap: Apartment) -> int:
     """n! / (d_1! ... d_m! (n-k)!), the number of apartment members."""
-    c = ap.cls
-    count = math.factorial(c.n) // math.factorial(c.n - c.rank)
-    for d in c.dims:
-        count //= math.factorial(d)
-    return count
+    return _multinomial(ap.cls.dims + (ap.n - ap.k,))
 
 
 def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
@@ -226,31 +221,88 @@ def n_count(a: Labeling, b: Labeling, ap: Apartment) -> int:
     return (_pair_mask(a.assignment) & _pair_mask(b.assignment)).bit_count()
 
 
-def _member_masks(cls: ClassDescriptor) -> List[Tuple[int, int]]:
-    return [(_pair_mask(a), _image_mask(a)) for a in _member_assignments(cls)]
-
-
-def member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
-    """(image overlap, n_count) of member 0 against each member t >= 1, in
-    enumeration order.
-
-    Both numbers are unchanged when S_n permutes frame indices, and S_n acts
-    transitively on the members, so every member's row holds the same
-    multiset of pairs: a value occurring c times in this row occurs on
-    exactly c * M / 2 of the C(M, 2) member pairs (M members), and it occurs
-    on some pair iff it occurs in this row."""
-    (p0, q0), *rest = _member_masks(cls)
-    return [((q0 & q).bit_count(), (p0 & p).bit_count()) for p, q in rest]
-
-
 def member_pairs(cls: ClassDescriptor) -> Iterator[Tuple[int, int, int, int]]:
     """(s, t, image overlap, n_count) for every member pair s < t, in (s, t)
     order: the exhaustive walk, for listing individual pairs."""
-    masks = _member_masks(cls)
+    masks = [(_pair_mask(a), _image_mask(a)) for a in _member_assignments(cls)]
     for s, (ps, qs) in enumerate(masks):
         for t in range(s + 1, len(masks)):
             pt, qt = masks[t]
             yield s, t, (qs & qt).bit_count(), (ps & pt).bit_count()
+
+
+class JointTable(NamedTuple):
+    """cells[s][t] = #{i : a_i = s, b_i = t} (None is slot m) for member 0, a,
+    and `weight` members b other than a, each with this overlap and n_count."""
+
+    cells: Tuple[Tuple[int, ...], ...]
+    overlap: int
+    count: int
+    weight: int
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    """sum(parts)! / prod(p!), as a product of binomials."""
+    return math.prod(map(math.comb, accumulate(parts), parts))
+
+
+def member_tables(cls: ClassDescriptor) -> Iterator[JointTable]:
+    """The joint tables of member 0, which labels the first d_0 frame lines
+    0, the next d_1 lines 1, ..., and the last n - k lines None.  Row and
+    column sums are both r = (d_0, ..., d_{m-1}, n - k), and
+      overlap = the sum of the cells with s and t both slots,
+      count = C(n, 2) - 2 sum_s C(r_s, 2) + sum_{s,t} C(c_st, 2),
+      weight = prod_s multinomial(r_s; c_s.) - [c is diagonal, i.e. b = a].
+    S_n moves member 0 to any member and keeps both numbers, so a table of
+    weight w stands for w*M/2 of the C(M, 2) member pairs.  The slot block
+    fixes the other cells, so for n >= 2k the tables do not depend on n."""
+    n, k, m = cls.n, cls.rank, cls.m
+    r = cls.dims + (n - k,)
+    base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in r)
+
+    def blocks(s: int, left: Tuple[int, ...]):  # slot rows s.. within column sums left
+        if s == m:
+            yield (), left
+            return
+        for row in product(*(range(c + 1) for c in left)):
+            if sum(row) <= cls.dims[s]:
+                for rest, last in blocks(s + 1, tuple(c - x for c, x in zip(left, row))):
+                    yield (row,) + rest, last
+
+    for block, left in blocks(0, cls.dims):
+        cells = tuple(row + (d - sum(row),) for row, d in zip(block + (left,), r))
+        if cells[m][m] < 0:  # needs n >= 2k - overlap
+            continue
+        overlap = sum(map(sum, block))
+        weight = math.prod(map(_multinomial, cells)) - all(cells[s][s] == x for s, x in enumerate(r))
+        if weight:
+            count = base + sum(math.comb(c, 2) for row in cells for c in row)
+            yield JointTable(cells, overlap, count, weight)
+
+
+def table_histogram(cls: ClassDescriptor) -> Counter:
+    """(overlap, n_count) against member 0 -> the number of other members."""
+    histogram: Counter = Counter()
+    for t in member_tables(cls):
+        histogram[t.overlap, t.count] += t.weight
+    return histogram
+
+
+def first_member_rank(cls: ClassDescriptor, cells: Sequence[Sequence[int]]) -> int:
+    """The enumeration index of the first member with joint table `cells`.
+    It sorts each of member 0's blocks ascending, slots before None, and is
+    ranked among the orderings of the label multiset: a smaller label v at
+    a place counts P * left[v] / remaining, P orderings of the labels left."""
+    left, remaining, rank = list(cls.dims) + [cls.n - cls.rank], cls.n, 0
+    orderings = _multinomial(left)
+    for row in cells:
+        for t, c in enumerate(row):
+            for _ in range(c):
+                rank += orderings * sum(left[:t]) // remaining
+                orderings = orderings * left[t] // remaining
+                left[t] -= 1
+                remaining -= 1
+    return rank
 
 
 def lemma3_bound(k: int, m: int, n: int) -> int:
@@ -307,6 +359,9 @@ def is_orthogonally_inexact(
     exact, every S_i is a single line and the apartment is unique.  Only
     the labels are read, so no frame is needed.
     """
+    if not members:
+        # every S_i is the whole space
+        return (True, PairIndex(0, 1)) if cls.n >= 2 else (False, None)
     for a in members:
         a.validate(cls)
     for i in range(cls.n):

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,11 +32,18 @@ from orthoapart import (
     type_one_subset,
     verify_maximal_inexact,
 )
-from orthoapart.apartments import image_overlap, labelings_orthogonal
+from orthoapart.apartments import (
+    _member_assignments,
+    first_member_rank,
+    image_overlap,
+    labelings_orthogonal,
+    member_tables,
+    table_histogram,
+)
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
 from orthoapart.subspaces import Subspace
 
-from util import oracle_n_count, random_frame
+from util import compositions, oracle_joint_table, oracle_member_row, oracle_n_count, random_frame
 
 
 def cls_of(n, dims, alphas=None):
@@ -208,6 +217,64 @@ def test_is_orthogonally_inexact():
     inexact, witness = is_orthogonally_inexact(t1, ap.cls)
     assert inexact
     assert {witness.i, witness.j} == {2, 5}
+
+
+def test_inexact_without_members_decides_from_n():
+    # with no members every S_i is the whole space, and no set is built
+    for n, want in [(0, (False, None)), (1, (False, None)),
+                    (2, (True, PairIndex(0, 1))), (5, (True, PairIndex(0, 1)))]:
+        assert is_orthogonally_inexact([], ClassDescriptor(n, (), ())) == want
+
+
+# ---------------------------------------------------------------------------
+# the joint-label tables of member 0 against the members read one by one
+
+def test_member_tables_and_ranks_match_every_member():
+    # every class with k <= 3 and n <= 8, n < 2k included (some tables are
+    # then infeasible): each member's table is listed with the right
+    # numbers, the weights count the members, and the first member of a
+    # table is the blockwise-sorted one at index first_member_rank
+    for k in range(1, 4):
+        for dims in compositions(k):
+            for n in range(k, 9):
+                cls = cls_of(n, dims)
+                a, *rest = _member_assignments(cls)
+                first, sizes = {}, Counter()
+                for index, b in enumerate(rest, 1):
+                    cells = oracle_joint_table(cls, a, b)
+                    first.setdefault(cells, index)
+                    sizes[cells] += 1
+                tables = list(member_tables(cls))
+                assert {t.cells: t.weight for t in tables} == dict(sizes), cls
+                row = dict(zip(rest, oracle_member_row(cls)))
+                for t in tables:
+                    b = rest[first[t.cells] - 1]
+                    assert row[b] == (t.overlap, t.count)
+                    assert first_member_rank(cls, t.cells) == first[t.cells]
+                    slots = [None if u == cls.m else u for u in range(cls.m + 1)]
+                    least = tuple(s for r in t.cells for s, c in zip(slots, r) for _ in range(c))
+                    assert least == b
+                assert first_member_rank(cls, oracle_joint_table(cls, a, a)) == 0
+
+
+def test_member_tables_match_member_row_oracle():
+    # every composition of k <= 4 and every n with 2k < n <= 4k + 4
+    classes = 0
+    for k in range(1, 5):
+        for dims in compositions(k):
+            for n in range(2 * k + 1, 4 * k + 5):
+                cls = cls_of(n, dims)
+                row = oracle_member_row(cls)
+                histogram = table_histogram(cls)
+                assert histogram == Counter(row), cls
+                members = math.perm(n, k) // math.prod(math.factorial(d) for d in dims)
+                assert sum(histogram.values()) == len(row) == members - 1
+                hits = [i for i, (m, count) in enumerate(row, 1) if m != 0 and count == k * k]
+                ranks = [first_member_rank(cls, t.cells) for t in member_tables(cls)
+                         if t.overlap != 0 and t.count == k * k]
+                assert min(ranks, default=None) == (hits[0] if hits else None), cls
+                classes += 1
+    assert classes == 158
 
 
 def test_rotated_frame_cross_validation():

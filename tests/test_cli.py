@@ -13,9 +13,9 @@ from orthoapart import cli, serialize
 from orthoapart.apartments import (
     Labeling,
     PairIndex,
-    member_row,
     rotated_frame,
     standard_apartment,
+    table_histogram,
 )
 from orthoapart.cli import (
     cmd_counterexample,
@@ -82,6 +82,16 @@ def test_scan_boundary_malformed_n_range(capsys):
         args = ["scan-boundary", "--alphas", "1,2", "--dims", "1,2", "--n-range", bad]
         assert main(args) == 2
         assert "lo:hi" in capsys.readouterr().err
+
+
+def test_scan_boundary_huge_range_is_clipped(capsys):
+    args = ["scan-boundary", "--alphas", "1,2", "--dims", "1,2", "--n-range"]
+    start = time.perf_counter()
+    assert main(args + ["0:10000000000"]) == 0
+    assert time.perf_counter() - start < 1
+    huge = capsys.readouterr()
+    assert main(args + ["7:11"]) == 0
+    assert capsys.readouterr() == huge
 
 
 def test_scan_boundary_empty_range():
@@ -212,6 +222,17 @@ def test_inexact_builds_no_frame(tmp_path, capsys):
     assert decision["witness"] == [0, 1]
 
 
+def test_inexact_without_members_is_bounded(tmp_path, capsys):
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps({"class": {"n": 10 ** 9, "alphas": [], "dims": []}, "members": []}))
+    start = time.perf_counter()
+    assert main(["inexact", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    decision = json.loads(capsys.readouterr().out)
+    assert decision["inexact"] is True
+    assert decision["witness"] == [0, 1]
+
+
 def test_cmd_refine_empty_family_needs_n(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]")
@@ -269,6 +290,24 @@ def test_scan_boundary_matches_pair_walk_oracle():
     assert found == {True, False}  # ranges with and without hits
 
 
+def test_label_commands_at_large_n(capsys):
+    # the table count does not grow with n, so M = 124,992 and M ~ 8e16 are quick
+    for argv in (["verify-lemma3", "--n", "64", "--alphas", "1,2", "--dims", "1,2"],
+                 ["verify-lemma4", "--n", "1000", "--alphas", "1,2,3", "--dims", "1,2,3"]):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == []
+        n, dims = report["n"], report["class"]["dims"]
+        members = math.perm(n, sum(dims)) // math.prod(math.factorial(d) for d in dims)
+        assert report["members"] == members
+        assert report["pairs_checked"] == math.comb(members, 2)
+        if "counts_histogram" in report:
+            cells = [f for hist in report["counts_histogram"].values() for _, f in hist]
+            assert sum(cells) == report["pairs_checked"]
+
+
 def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
     # no class violates the bound; raised at m = 0, every orthogonal pair does
     def raised(k, m, n):
@@ -285,7 +324,7 @@ def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
 def test_lemma4_disagreements_below_threshold_listed_like_the_oracle():
     # below n >= 4k count k^2 no longer decides orthogonality, e.g. dims 3 at n=8
     for cls in (cls_of(8, (3,)), cls_of(7, (1, 2)), cls_of(9, (2, 2))):
-        got = cli._lemma4_disagreements(cls, member_row(cls))
+        got = cli._lemma4_disagreements(cls, table_histogram(cls))
         assert got
         assert got == oracle_verify_lemma4(cls)["violations"]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Tuple
 
 from orthoapart import (
@@ -35,6 +35,7 @@ from orthoapart import (
 from orthoapart import serialize
 from orthoapart.apartments import (
     _image_mask,
+    _member_assignments,
     _pair_mask,
     c_eval,
     enumerate_members,
@@ -232,6 +233,30 @@ def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
         if all(u @ mats[s] @ uh == mats[t.mapping[s]] for s in range(len(mats))):
             return u
     return None
+
+
+# ---------------------------------------------------------------------------
+# member-0 oracles for the joint-label tables: every member read one by one
+
+def oracle_member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
+    """(image overlap, n_count) of member 0 against each member t >= 1, in
+    enumeration order, each counted from the definitions: the lines both
+    label, and the pairs {i, j} on which both members' slots differ."""
+    a, *rest = _member_assignments(cls)
+    image = [i for i, s in enumerate(a) if s is not None]
+    split = [(i, j) for i, j in combinations(range(cls.n), 2) if a[i] != a[j]]
+    return [
+        (sum(b[i] is not None for i in image), sum(b[i] != b[j] for i, j in split))
+        for b in rest
+    ]
+
+
+def oracle_joint_table(cls: ClassDescriptor, a, b) -> Tuple[Tuple[int, ...], ...]:
+    """cells[s][t] = #{i : a_i = s, b_i = t}, None read as slot m."""
+    cells = [[0] * (cls.m + 1) for _ in range(cls.m + 1)]
+    for s, t in zip(a, b):
+        cells[cls.m if s is None else s][cls.m if t is None else t] += 1
+    return tuple(map(tuple, cells))
 
 
 # ---------------------------------------------------------------------------
