@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -111,24 +111,26 @@ def member_count(ap: Apartment) -> int:
 
 def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
     """The assignment tuples of all members of the class's apartments, in
-    lexicographic order (slots before None at every position).  Labels do
-    not depend on the frame, so this reads only n and the dims."""
+    lexicographic order (slots before None at every position), generated in
+    that order: position by position, each label with lines left, slots
+    first.  Labels do not depend on the frame, so this reads n and the dims."""
+    n, labels, left = cls.n, [*range(cls.m), None], [*cls.dims, cls.n - cls.rank]
     results: List[Tuple[Slot, ...]] = []
+    assignment: List[Slot] = [None] * n
 
-    def fill(assignment: List[Slot], slot: int, remaining: List[int]):
-        if slot == cls.m:
+    def fill(i: int):
+        live = [s for s, c in enumerate(left) if c]
+        if len(live) < 2:  # the rest of the positions are forced
+            assignment[i:] = [labels[s] for s in live for _ in range(left[s])]
             results.append(tuple(assignment))
             return
-        for chosen in combinations(remaining, cls.dims[slot]):
-            for i in chosen:
-                assignment[i] = slot
-            rest = [i for i in remaining if i not in chosen]
-            fill(assignment, slot + 1, rest)
-            for i in chosen:
-                assignment[i] = None
+        for s in live:
+            left[s] -= 1
+            assignment[i] = labels[s]
+            fill(i + 1)
+            left[s] += 1
 
-    fill([None] * cls.n, 0, list(range(cls.n)))
-    results.sort(key=lambda a: tuple(cls.m if s is None else s for s in a))
+    fill(0)
     return results
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
-from .matrices import inner
-from .subspaces import Subspace, orthogonalize, projection_of
+from .subspaces import Subspace, orthogonal_columns
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,11 @@ class Frame:
             if line.ambient_dim != n or line.dim != 1:
                 raise OrthoapartError("frame members must be lines of the ambient space")
         # pairwise orthogonality of lines via spanning-vector inner products
-        vecs = [line.line_vector() for line in self.lines]
+        cols = [x.proj.select_columns(x.proj.nonzero_columns()[:1]) for x in self.lines]
         for i in range(n):
+            row = cols[i].adjoint()
             for j in range(i + 1, n):
-                if not inner(vecs[i], vecs[j]).is_zero:
+                if not (row @ cols[j]).is_zero():
                     raise OrthoapartError(f"frame lines {i} and {j} are not orthogonal")
 
     @classmethod
@@ -50,9 +50,10 @@ class Frame:
 
 
 def is_compatible(x: Subspace, y: Subspace) -> bool:
-    """Compatibility test: P_X P_Y = P_Y P_X as a matrix identity."""
+    """Compatibility test: P_X P_Y = P_Y P_X, that is, P_X P_Y = (P_X P_Y)*."""
     x._same_ambient(y)
-    return x.proj @ y.proj == y.proj @ x.proj
+    z = x.proj @ y.proj
+    return z == z.adjoint()
 
 
 # the earlier name, still imported by the benchmark's self-tests
@@ -62,11 +63,13 @@ projections_commute = is_compatible
 def split_into_lines(block: Subspace) -> List[Subspace]:
     """Split a subspace into pairwise orthogonal lines spanning it.
 
-    Uses exact Gram-Schmidt without normalization, so the lines stay
-    rational; the arbitrary choice is fixed by the pivot basis of the block.
+    Uses fraction-free Gram-Schmidt, so the lines stay rational; the
+    arbitrary choice is fixed by the pivot basis of the block.  A line's
+    projection is u u* / (u* u).
     """
-    n = block.ambient_dim
-    return [projection_of([u], ambient_dim=n) for u in orthogonalize(block.basis())]
+    p = block.proj
+    us = orthogonal_columns(p.select_columns(p.rref()[1]))
+    return [Subspace((u @ u.adjoint()).scale(1 / (u.adjoint() @ u).trace().re)) for u in us]
 
 
 def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:

@@ -1,20 +1,28 @@
-"""Dense exact matrices over the Gaussian rationals.
+"""Dense exact matrices over the Gaussian rationals, computed in integers.
 
-Everything here runs in exact arithmetic: Gaussian elimination pivots on the
-first nonzero entry (no pivot-size heuristics), and rank / kernel / column
-space fall out of a single reduced row echelon computation.  Matrices are
-immutable; every operation returns a fresh value.
+A matrix is integer rows ``re`` and ``im`` (None when real) over one
+denominator ``den > 0``, with gcd(den, entries) = 1: one representation per
+value, so equality and hashing are tuple compares.  `GaussianRational` is
+the boundary type of the constructors and of entry access.  One routine,
+fraction-free Gauss-Jordan (Bareiss 1968) pivoting on the first nonzero
+entry of each column, serves `rref`, `kernel_basis`, `column_space_basis`
+and `inverse`; a complex matrix is eliminated as its real embedding, a + bi
+becoming [[a, -b], [b, a]], whose reduced form embeds the complex one (so
+complex column j is a pivot iff real column 2j is).  Matrices are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import GaussianRational, ZERO, ONE, as_scalar
+from .scalars import GaussianRational, ONE, ZERO, _make as _scalar, as_scalar
 
 Vector = Tuple[GaussianRational, ...]
+Rows = Optional[Sequence[Sequence[int]]]  # None is a zero imaginary part
 
 
 def vector(entries: Iterable) -> Vector:
@@ -31,35 +39,88 @@ def inner(u: Sequence, v: Sequence) -> GaussianRational:
     return acc
 
 
+def _comb(s: int, x: Rows, t: int = 0, y: Rows = None) -> Rows:
+    """s*x + t*y entrywise."""
+    if y is None or not t:
+        return None if x is None else [[s * a for a in r] for r in x]
+    if x is None:
+        return [[t * b for b in r] for r in y]
+    return [[s * a + t * b for a, b in zip(r, q)] for r, q in zip(x, y)]
+
+
+def _mul(x: Rows, y: Rows, cols: int) -> list:
+    """Integer product, skipping zero entries of x: projections are often sparse."""
+    out = []
+    for r in x:
+        acc = [0] * cols
+        for a, yrow in zip(r, y):
+            if a:
+                acc = [p + a * b for p, b in zip(acc, yrow)]
+        out.append(acc)
+    return out
+
+
+def _bareiss(m: List[list], ncols: int) -> Tuple[int, List[int]]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.  Returns the last
+    pivot d and the pivot columns; m ends as d times the reduced row echelon
+    form.  Each division is exact: every entry is a minor of the input."""
+    prev, pivots = 1, []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and (f or p != prev):
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        pivots.append(c)
+        prev = p
+    return prev, pivots
+
+
 class Matrix:
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_den", "_re", "_im")
 
     def __init__(self, rows_of_entries: Sequence[Sequence]):
-        data = tuple(tuple(as_scalar(e) for e in row) for row in rows_of_entries)
+        data = [[as_scalar(e) for e in row] for row in rows_of_entries]
         if data and any(len(r) != len(data[0]) for r in data):
             raise DimensionMismatch("ragged rows")
-        self._data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        flat = list(chain.from_iterable(data))
+        den = lcm(*(x.re.denominator for x in flat), *(x.im.denominator for x in flat))
+        re = [[x.re.numerator * (den // x.re.denominator) for x in r] for r in data]
+        im = [[x.im.numerator * (den // x.im.denominator) for x in r] for r in data]
+        self._set(den, re, im, len(data), len(data[0]) if data else 0)
+
+    def _set(self, den: int, re: Rows, im: Rows, rows: int, cols: int) -> None:
+        # the one normalization; a negative den negates the numerators
+        if im is not None and not any(map(any, im)):
+            im = None
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        g = -g if den < 0 else g
+        cut = tuple if g == 1 else (lambda r: tuple(a // g for a in r))
+        self._den = den // g
+        self._re = tuple(map(cut, re))
+        self._im = None if im is None else tuple(map(cut, im))
+        self.rows, self.cols = rows, cols
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, data, rows: int, cols: int) -> "Matrix":
-        # internal fast path: entries are known-good scalars already
+    def _make(cls, den: int, re: Rows, im: Rows, rows: int, cols: int) -> "Matrix":
         m = cls.__new__(cls)
-        m._data = tuple(tuple(r) for r in data)
-        m.rows = rows
-        m.cols = cols
+        m._set(den, re, im, rows, cols)
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._make(1, [[0] * cols for _ in range(rows)], None, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._make(1, [[int(i == j) for j in range(n)] for i in range(n)], None, n, n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -83,16 +144,31 @@ class Matrix:
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self._data[i][j]
+        im = 0 if self._im is None else self._im[i][j]
+        return _scalar(Fraction(self._re[i][j], self._den), Fraction(im, self._den))
 
     def row(self, i: int) -> Vector:
-        return self._data[i]
+        return tuple(self[i, j] for j in range(self.cols))
 
     def column(self, j: int) -> Vector:
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def columns(self) -> List[Vector]:
         return [self.column(j) for j in range(self.cols)]
+
+    def select_columns(self, js: Sequence[int]) -> "Matrix":
+        """The submatrix of the columns js, in that order."""
+        pick = lambda x: x and [[r[j] for j in js] for r in x]  # noqa: E731
+        return Matrix._make(self._den, pick(self._re), pick(self._im), self.rows, len(js))
+
+    def primitive(self) -> "Matrix":
+        """The multiple with coprime integer entries (zero stays zero)."""
+        g = gcd(*chain.from_iterable(self._re), *chain.from_iterable(self._im or ()))
+        return Matrix._make(g or 1, self._re, self._im, self.rows, self.cols)
+
+    def nonzero_columns(self) -> List[int]:
+        rows = self._re + (self._im or ())
+        return [j for j in range(self.cols) if any(r[j] for r in rows)]
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -102,60 +178,44 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._raw(
-            (
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ),
-            self.rows,
-            self.cols,
-        )
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        re, im = _comb(s, self._re, t, other._re), _comb(s, self._im, t, other._im)
+        return Matrix._make(den, re, im, self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._raw(
-            (
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ),
-            self.rows,
-            self.cols,
-        )
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(([-a for a in r] for r in self._data), self.rows, self.cols)
+        return Matrix._make(-self._den, self._re, self._im, self.rows, self.cols)
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix._raw(([c * a for a in r] for r in self._data), self.rows, self.cols)
+        cd = lcm(c.re.denominator, c.im.denominator)
+        cr, ci = c.re.numerator * cd // c.re.denominator, c.im.numerator * cd // c.im.denominator
+        re, im = _comb(cr, self._re, -ci, self._im), _comb(cr, self._im, ci, self._re)
+        return Matrix._make(self._den * cd, re, im, self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        orows = other._data
-        out = []
-        for r in self._data:
-            acc = [ZERO] * other.cols
-            for a, orow in zip(r, orows):
-                if a.is_zero:  # projection matrices are often sparse
-                    continue
-                acc = [p if b.is_zero else p + a * b for p, b in zip(acc, orow)]
-            out.append(acc)
-        return Matrix._raw(out, self.rows, other.cols)
+        n, (ar, ai), (br, bi) = other.cols, (self._re, self._im), (other._re, other._im)
+        re = _mul(ar, br, n)
+        if ai is not None and bi is not None:
+            re = _comb(1, re, -1, _mul(ai, bi, n))
+        im = _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
+        return Matrix._make(self._den * other._den, re, im, self.rows, n)
 
     def apply(self, v: Sequence) -> Vector:
-        v = vector(v)
-        if self.cols != len(v):
-            raise DimensionMismatch(f"{self.shape} applied to length-{len(v)} vector")
-        return tuple(sum((a * b for a, b in zip(r, v)), ZERO) for r in self._data)
+        v = vector(v)  # a length mismatch raises DimensionMismatch in the product
+        return (self @ (Matrix([[x] for x in v]) if v else Matrix.zeros(0, 1))).column(0)
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(zip(*self._data), self.cols, self.rows)
+        flip = lambda x: None if x is None else list(zip(*x)) or [()] * self.cols  # noqa: E731
+        return Matrix._make(self._den, flip(self._re), flip(self._im), self.cols, self.rows)
 
     def conj(self) -> "Matrix":
-        return Matrix._raw(
-            ([a.conjugate() for a in r] for r in self._data), self.rows, self.cols
-        )
+        return Matrix._make(self._den, self._re, _comb(-1, self._im), self.rows, self.cols)
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose; an involution."""
@@ -164,20 +224,22 @@ class Matrix:
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), ZERO)
+        re = sum(self._re[i][i] for i in range(self.rows))
+        im = 0 if self._im is None else sum(self._im[i][i] for i in range(self.rows))
+        return _scalar(Fraction(re, self._den), Fraction(im, self._den))
 
     # -- predicates --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._data == other._data
+        return self._den == other._den and self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self._den, self._re, self._im))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero for r in self._data for a in r)
+        return self._im is None and not any(map(any, self._re))
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.adjoint()
@@ -190,25 +252,17 @@ class Matrix:
         Pivoting takes the first nonzero entry in each column, which is exact
         over the rationals.
         """
-        m = [list(r) for r in self._data]
-        pivots: List[int] = []
-        prow = 0
-        for col in range(self.cols):
-            if prow >= self.rows:
-                break
-            sel = next((r for r in range(prow, self.rows) if not m[r][col].is_zero), None)
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            inv = ONE / m[prow][col]
-            m[prow] = [inv * a for a in m[prow]]
-            for r in range(self.rows):
-                if r != prow and not m[r][col].is_zero:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
-            pivots.append(col)
-            prow += 1
-        return Matrix._raw(m, self.rows, self.cols), tuple(pivots)
+        if self._im is None:
+            m = [list(r) for r in self._re]
+            d, pivots = _bareiss(m, self.cols)
+            return Matrix._make(d, m, None, self.rows, self.cols), tuple(pivots)
+        m = []
+        for a, b in zip(self._re, self._im):
+            m.append([x for p, q in zip(a, b) for x in (p, -q)])
+            m.append([x for p, q in zip(a, b) for x in (q, p)])
+        d, pivots = _bareiss(m, 2 * self.cols)
+        re, im = [r[0::2] for r in m[0::2]], [[-x for x in r[1::2]] for r in m[0::2]]
+        return Matrix._make(d, re, im, self.rows, self.cols), tuple(p // 2 for p in pivots[0::2])
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -216,10 +270,8 @@ class Matrix:
     def kernel_basis(self) -> List[Vector]:
         """Basis of the right null space, one vector per free column."""
         r, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
-        for f in free:
+        for f in (j for j in range(self.cols) if j not in pivots):
             v = [ZERO] * self.cols
             v[f] = ONE
             for row_idx, p in enumerate(pivots):
@@ -236,38 +288,34 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        eye = Matrix.identity(n)
-        aug = Matrix._raw(
-            (list(self._data[i]) + list(eye._data[i]) for i in range(n)), n, 2 * n
-        )
-        r, pivots = aug.rref()
+        r, pivots = self.hstack(Matrix.identity(n)).rref()
         if pivots != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix._raw((row[n:] for row in r._data), n, n)
+        return r.select_columns(range(n, 2 * n))
 
     # -- stacking ----------------------------------------------------------
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix._raw(
-            (a + b for a, b in zip(self._data, other._data)),
-            self.rows,
-            self.cols + other.cols,
-        )
+        return self.transpose().vstack(other.transpose()).transpose()
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix._raw(self._data + other._data, self.rows + other.rows, self.cols)
+        den = lcm(self._den, other._den)
+        parts = [(m, den // m._den, [[0] * m.cols] * m.rows) for m in (self, other)]
+        re = [r for m, k, _ in parts for r in _comb(k, m._re)]
+        im = [r for m, k, zero in parts for r in _comb(k, m._im) or zero]
+        return Matrix._make(den, re, im, self.rows + other.rows, self.cols)
 
     # -- misc --------------------------------------------------------------
 
     def entries(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
-        return self._data
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self._data)
+        body = "; ".join(" ".join(str(a) for a in r) for r in self.entries())
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
     def _same_shape(self, other: "Matrix"):

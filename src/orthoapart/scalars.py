@@ -4,7 +4,8 @@ A scalar is a complex number whose real and imaginary parts are both
 arbitrary-precision rationals (``fractions.Fraction``).  This subfield of the
 complex numbers is closed under conjugation, the four field operations, and
 inversion of nonzero elements, so every computation in the package stays
-exact; there is no tolerance parameter anywhere.
+exact; there is no tolerance parameter anywhere.  Matrices take scalars in
+and hand them out, but store integer numerators over a common denominator.
 
 Text format: ``"p/q"`` or ``"p/q+r/s i"`` (signs allowed, whitespace
 ignored, trailing ``i`` marks the imaginary term).
@@ -161,7 +162,7 @@ def _parse_scalar(text: str) -> GaussianRational:
     if "e" in s or "E" in s:
         raise ValueError(f"exponent forms are not exact scalars: {text!r}")
     if not s.endswith("i"):
-        return GaussianRational(Fraction(s))
+        return _make(Fraction(s), _FZERO)
     body = s[:-1]
     # split real from imaginary at the last top-level sign (index >= 1)
     split = max(body.rfind("+", 1), body.rfind("-", 1))
@@ -175,5 +176,4 @@ def _parse_scalar(text: str) -> GaussianRational:
         im = Fraction(-1)
     else:
         im = Fraction(imag)
-    re = Fraction(real) if real else Fraction(0)
-    return GaussianRational(re, im)
+    return _make(Fraction(real) if real else _FZERO, im)

@@ -2,8 +2,9 @@
 
 A subspace is represented by its projection matrix P = V (V*V)^{-1} V* for
 any column basis V of the span.  P is rational whenever V is, so no square
-roots ever appear, and two subspaces are equal iff their projection matrices
-are entrywise equal.  Meet, join, and relative orthocomplement are all exact.
+roots ever appear.  It is computed in integers, V (det G) G^{-1} V* over det G
+with G = V*V, on one canonical denominator, so subspaces are equal iff their
+projections are entrywise equal.  Meet, join, relative orthocomplement are exact.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, Vector, inner, vector
-from .scalars import as_scalar
+from .matrices import Matrix, Vector, vector
 
 
 class Subspace:
@@ -54,10 +54,10 @@ class Subspace:
         return self.proj.column_space_basis()
 
     def line_vector(self) -> Vector:
-        """A spanning vector of a 1-dimensional subspace."""
+        """A spanning vector of a line: the first nonzero column of its projection."""
         if self.dim != 1:
             raise ValueError("line_vector requires a 1-dimensional subspace")
-        return self.basis()[0]
+        return self.proj.column(self.proj.nonzero_columns()[0])
 
     # -- predicates --------------------------------------------------------
 
@@ -118,13 +118,12 @@ def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
             raise DimensionMismatch("ambient_dim required for an empty spanning set")
         n = ambient_dim
     raw = Matrix.from_columns(vecs, rows=n)
-    basis_cols = raw.column_space_basis()
-    if not basis_cols:
+    _, pivots = raw.rref()
+    if not pivots:
         return Subspace.zero(n)
-    v = Matrix.from_columns(basis_cols, rows=n)
+    v = raw.select_columns(pivots)
     vh = v.adjoint()
-    gram_inv = (vh @ v).inverse()
-    return Subspace(v @ gram_inv @ vh)
+    return Subspace(v @ (vh @ v).inverse() @ vh)
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
@@ -152,15 +151,23 @@ def orthogonalize(vectors: Sequence[Sequence]) -> List[Vector]:
     """Exact Gram-Schmidt without normalization.
 
     Returns pairwise-orthogonal rational vectors spanning the same subspace;
-    dependent inputs are dropped.  No square roots: vectors are kept at
-    whatever length the projection arithmetic produces.
+    dependent inputs are dropped.  No square roots: each vector is the
+    primitive integer multiple that fraction-free arithmetic produces.
     """
-    out: List[Vector] = []
-    for raw in vectors:
-        v = list(vector(raw))
+    vecs = list(vectors)
+    return [u.column(0) for u in orthogonal_columns(Matrix.from_columns(vecs))] if vecs else []
+
+
+def orthogonal_columns(m: Matrix) -> List[Matrix]:
+    """Fraction-free Gram-Schmidt: pairwise orthogonal n x 1 matrices spanning the
+    column space of m.  Against each earlier output u, v becomes (u*u) v - (u*v) u,
+    the usual step times u*u, made primitive again so its entries do not grow."""
+    out: List[Matrix] = []
+    for j in range(m.cols):
+        v = m.select_columns([j]).primitive()
         for u in out:
-            c = inner(u, v) / inner(u, u)
-            v = [a - c * b for a, b in zip(v, u)]
-        if any(not as_scalar(a).is_zero for a in v):
-            out.append(tuple(v))
+            uh = u.adjoint()
+            v = (v @ (uh @ u) - u @ (uh @ v)).primitive()
+        if not v.is_zero():
+            out.append(v)
     return out

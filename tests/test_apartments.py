@@ -43,7 +43,14 @@ from orthoapart.apartments import (
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
 from orthoapart.subspaces import Subspace
 
-from util import compositions, oracle_joint_table, oracle_member_row, oracle_n_count, random_frame
+from util import (
+    compositions,
+    oracle_joint_table,
+    oracle_member_assignments,
+    oracle_member_row,
+    oracle_n_count,
+    random_frame,
+)
 
 
 def cls_of(n, dims, alphas=None):
@@ -57,6 +64,17 @@ def test_member_count_matches_enumeration():
         members = list(enumerate_members(ap))
         assert len(members) == member_count(ap)
         assert len({m.assignment for m in members}) == len(members)
+
+
+def test_member_order_matches_sorted_oracle():
+    # every class with k <= 4 and k <= n <= 8, n < 2k included: the members
+    # generated in order are the sorted list of all assignment tuples
+    for k in range(1, 5):
+        for dims in compositions(k):
+            for n in range(k, 9):
+                cls = cls_of(n, dims)
+                assert _member_assignments(cls) == oracle_member_assignments(cls), cls
+    assert _member_assignments(ClassDescriptor(0, (), ())) == [()]
 
 
 def test_member_count_examples():

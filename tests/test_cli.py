@@ -242,6 +242,34 @@ def test_cmd_refine_empty_family_needs_n(tmp_path):
     assert len(json.loads(out.read_text())["frame"]["lines"]) == 3
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "refine_golden.json")
+
+
+def test_refine_reports_match_parent_golden(tmp_path, capsys):
+    """Refine reports recorded from the Fraction-entry matrix kernel: real
+    rotated frames, complex families, zero, full and empty members, and
+    incompatible or mismatched families.  Each family is refined to stdout
+    and with --out, and the exit code, both streams and the report file
+    must match byte for byte."""
+    with open(GOLDEN) as fh:
+        cases = json.load(fh)
+    family, out = tmp_path / "family.json", tmp_path / "report.json"
+    for case in cases:
+        family.write_text(json.dumps(case["family"]))
+        code = main(["refine", str(family)] + case["args"])
+        captured = capsys.readouterr()
+        got = {"exit": code, "stdout": captured.out, "stderr": captured.err}
+        assert got == case["stdout"], case["name"]
+
+        if out.exists():
+            out.unlink()
+        code = main(["refine", str(family), "--out", str(out)] + case["args"])
+        captured = capsys.readouterr()
+        got = {"exit": code, "stdout": captured.out.replace(str(out), "{out}"),
+               "stderr": captured.err, "report": out.read_text() if out.exists() else None}
+        assert got == case["out"], case["name"]
+
+
 # ---------------------------------------------------------------------------
 # the one-row label scan against the exhaustive pair walk
 

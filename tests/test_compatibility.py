@@ -7,6 +7,7 @@ from orthoapart import (
     Frame,
     Subspace,
     is_compatible,
+    orthogonalize,
     projection_of,
     refine_to_frame,
     span_sum,
@@ -15,7 +16,7 @@ from orthoapart import (
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
 from orthoapart.matrices import Matrix
 
-from util import lattice_compatible, lattice_refine, random_frame
+from util import lattice_compatible, lattice_refine, oracle_split_into_lines, random_frame
 
 
 def e(n, i):
@@ -171,3 +172,24 @@ def test_split_into_lines():
     assert all(line.dim == 1 for line in lines)
     assert lines[0].is_orthogonal_to(lines[1])
     assert span_sum(lines[0], lines[1]) == block
+
+
+def test_split_into_lines_matches_rational_gram_schmidt():
+    # blocks of random rotated frames, complex blocks, and the complement of
+    # the all-ones line, whose 11 Gram-Schmidt steps would grow the entries
+    # without bound if each step were not made primitive again
+    rng = random.Random(12)
+    blocks = [projection_of([[1] * 12]).perp(),
+              projection_of([[1, "1i", 0, 2], [0, "1-1i", 3, "1/2i"], [1, 0, 0, "-1i"]])]
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        frame = random_frame(n, rng)
+        blocks.append(lines_sum(frame, rng.sample(range(n), rng.randint(1, n))))
+    for block in blocks:
+        lines = split_into_lines(block)
+        assert lines == oracle_split_into_lines(block)
+        assert Frame(block.ambient_dim, tuple(lines + split_into_lines(block.perp())))
+    # the primitive vectors here are (0, ..., 0, k, -1, ..., -1)
+    ones = orthogonalize(blocks[0].basis())
+    assert max(abs(x.re) for u in ones for x in u) == 11
+    assert all(x.re.denominator == 1 for u in ones for x in u)

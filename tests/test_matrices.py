@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from orthoapart.errors import DimensionMismatch, SingularMatrix
 from orthoapart.matrices import Matrix, inner, vector
-from orthoapart.scalars import GaussianRational, I
+from orthoapart.scalars import GaussianRational, I, as_scalar
+from orthoapart.subspaces import projection_of
+
+from util import OracleMatrix, oracle_projection_of
 
 
 def rand_matrix(rows, cols, rng, complex_entries=True):
@@ -94,3 +98,92 @@ def test_trace_linearity():
     b = rand_matrix(4, 4, rng)
     assert (a + b).trace() == a.trace() + b.trace()
     assert (a @ b).trace() == (b @ a).trace()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction-entry oracle
+
+SMALL = [0, 1, -1, Fraction(1, 2), I, 1 - I]
+
+
+def same(m: Matrix, o: OracleMatrix) -> bool:
+    return m.shape == o.shape and m.entries() == o.entries()
+
+
+def assert_kernel_matches_oracle(rows, other_rows):
+    m, o = Matrix(rows), OracleMatrix(rows)
+    b, ob = Matrix(other_rows), OracleMatrix(other_rows)
+    assert same(m, o) and same(m.adjoint(), o.adjoint()) and same(-m, -o)
+    for c in (Fraction(-3, 2), 2 * I - 1):
+        assert same(m.scale(c), o.scale(c))
+    if m.rows == b.rows and m.cols == b.cols:
+        assert same(m + b, o + ob) and same(m - b, o - ob)
+    if m.cols == b.rows:
+        assert same(m @ b, o @ ob)
+    if m.rows == m.cols:
+        assert m.trace() == o.trace()
+        try:
+            expected = o.inverse()
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert same(m.inverse(), expected)
+    (r, pivots), (orr, opivots) = m.rref(), o.rref()
+    assert pivots == opivots and same(r, orr)
+    assert m.kernel_basis() == o.kernel_basis()
+    assert m.column_space_basis() == o.column_space_basis()
+    n = m.rows
+    assert same(projection_of(m.columns(), ambient_dim=n).proj,
+                oracle_projection_of(o.columns(), ambient_dim=n))
+
+
+def test_kernel_matches_oracle_on_every_small_2x2():
+    entries = [as_scalar(x) for x in SMALL]
+    grid = [[[a, b], [c, d]] for a, b, c, d in product(entries, repeat=4)]
+    for k, rows in enumerate(grid):
+        assert_kernel_matches_oracle(rows, grid[(7 * k + 3) % len(grid)])
+
+
+def random_rows(rows, cols, rank, rng, complex_entries):
+    """A rows x cols matrix of rank at most `rank`, as a product of random
+    rows x rank and rank x cols factors."""
+    if not rank:
+        return Matrix.zeros(rows, cols).entries()
+    left, right = rand_matrix(rows, rank, rng, complex_entries), rand_matrix(rank, cols, rng, complex_entries)
+    return (left @ right).entries()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_kernel_matches_oracle_on_random_matrices(complex_entries):
+    rng = random.Random(11 + complex_entries)
+    for _ in range(60):
+        rows, cols, inner_dim = (rng.randint(1, 6) for _ in range(3))
+        rank = rng.randint(0, min(rows, cols))
+        a = random_rows(rows, cols, rank, rng, complex_entries)
+        if rng.random() < 0.5:
+            b = random_rows(cols, inner_dim, rng.randint(0, min(cols, inner_dim)), rng, complex_entries)
+        else:
+            b = random_rows(rows, cols, rng.randint(0, min(rows, cols)), rng, complex_entries)
+        assert_kernel_matches_oracle(a, b)
+        if rows == cols:
+            full = rand_matrix(rows, rows, rng, complex_entries).entries()
+            assert_kernel_matches_oracle(full, a)
+
+
+def test_equal_values_are_equal_matrices_whatever_their_input_form():
+    forms = [
+        Matrix([[Fraction(2, 4), 0], [I * Fraction(3, 6), -1]]),
+        Matrix([["1/2", "0"], ["1/2i", "-1"]]),
+        Matrix([[GaussianRational(Fraction(1, 2)), 0], [GaussianRational(0, Fraction(1, 2)), -1]]),
+        Matrix([["1", "0"], ["1i", "-2"]]).scale(Fraction(1, 2)),
+        Matrix([["1/4", 0], ["1/4i", "-1/2"]]) + Matrix([["1/4", 0], ["1/4i", "-1/2"]]),
+    ]
+    for m in forms:
+        assert m == forms[0] and hash(m) == hash(forms[0])
+    assert Matrix([[Fraction(2, 4)]]) == Matrix([["1/2"]])
+    assert hash(Matrix([[Fraction(2, 4)]])) == hash(Matrix([["1/2"]]))
+    # a real matrix reached through complex arithmetic is stored as real
+    z = Matrix([[I]]) @ Matrix([[I]])
+    assert z == Matrix([[-1]]) and hash(z) == hash(Matrix([[-1]]))
+    assert Matrix([[1, 2]]) - Matrix([[1, 2]]) == Matrix.zeros(1, 2)

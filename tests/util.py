@@ -34,6 +34,7 @@ from orthoapart import (
 )
 from orthoapart import serialize
 from orthoapart.apartments import (
+    Slot,
     _image_mask,
     _member_assignments,
     _pair_mask,
@@ -43,6 +44,9 @@ from orthoapart.apartments import (
     standard_apartment,
 )
 from orthoapart.cli import SCHEMA_VERSION
+from orthoapart.errors import DimensionMismatch, SingularMatrix
+from orthoapart.matrices import Vector, inner, vector
+from orthoapart.scalars import ONE, ZERO, GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
@@ -387,3 +391,299 @@ def oracle_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, 
         "entries": entries,
         "violations": [],
     }
+
+
+# ---------------------------------------------------------------------------
+# the member order before direct generation: every tuple, then a sort
+
+def oracle_member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
+    """The assignment tuples of all members of the class's apartments, in
+    lexicographic order (slots before None at every position).  Labels do
+    not depend on the frame, so this reads only n and the dims."""
+    results: List[Tuple[Slot, ...]] = []
+
+    def fill(assignment: List[Slot], slot: int, remaining: List[int]):
+        if slot == cls.m:
+            results.append(tuple(assignment))
+            return
+        for chosen in combinations(remaining, cls.dims[slot]):
+            for i in chosen:
+                assignment[i] = slot
+            rest = [i for i in remaining if i not in chosen]
+            fill(assignment, slot + 1, rest)
+            for i in chosen:
+                assignment[i] = None
+
+    fill([None] * cls.n, 0, list(range(cls.n)))
+    results.sort(key=lambda a: tuple(cls.m if s is None else s for s in a))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel before integer numerators: one Fraction pair per entry
+
+class OracleMatrix:
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows_of_entries: Sequence[Sequence]):
+        data = tuple(tuple(as_scalar(e) for e in row) for row in rows_of_entries)
+        if data and any(len(r) != len(data[0]) for r in data):
+            raise DimensionMismatch("ragged rows")
+        self._data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, data, rows: int, cols: int) -> "OracleMatrix":
+        # internal fast path: entries are known-good scalars already
+        m = cls.__new__(cls)
+        m._data = tuple(tuple(r) for r in data)
+        m.rows = rows
+        m.cols = cols
+        return m
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "OracleMatrix":
+        return cls([[ZERO] * cols for _ in range(rows)])
+
+    @classmethod
+    def identity(cls, n: int) -> "OracleMatrix":
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "OracleMatrix":
+        cols = [vector(c) for c in columns]
+        if not cols:
+            if rows is None:
+                raise DimensionMismatch("row count needed for an empty column list")
+            return cls.zeros(rows, 0)
+        n = len(cols[0])
+        if any(len(c) != n for c in cols):
+            raise DimensionMismatch("columns of unequal length")
+        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+
+    @classmethod
+    def diagonal(cls, entries: Sequence) -> "OracleMatrix":
+        d = vector(entries)
+        n = len(d)
+        return cls([[d[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    # -- access ------------------------------------------------------------
+
+    def __getitem__(self, ij) -> GaussianRational:
+        i, j = ij
+        return self._data[i][j]
+
+    def row(self, i: int) -> Vector:
+        return self._data[i]
+
+    def column(self, j: int) -> Vector:
+        return tuple(self._data[i][j] for i in range(self.rows))
+
+    def columns(self) -> List[Vector]:
+        return [self.column(j) for j in range(self.cols)]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.rows, self.cols)
+
+    # -- algebra -----------------------------------------------------------
+
+    def __add__(self, other: "OracleMatrix") -> "OracleMatrix":
+        self._same_shape(other)
+        return OracleMatrix._raw(
+            (
+                [a + b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._data, other._data)
+            ),
+            self.rows,
+            self.cols,
+        )
+
+    def __sub__(self, other: "OracleMatrix") -> "OracleMatrix":
+        self._same_shape(other)
+        return OracleMatrix._raw(
+            (
+                [a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._data, other._data)
+            ),
+            self.rows,
+            self.cols,
+        )
+
+    def __neg__(self) -> "OracleMatrix":
+        return OracleMatrix._raw(([-a for a in r] for r in self._data), self.rows, self.cols)
+
+    def scale(self, c) -> "OracleMatrix":
+        c = as_scalar(c)
+        return OracleMatrix._raw(([c * a for a in r] for r in self._data), self.rows, self.cols)
+
+    def __matmul__(self, other: "OracleMatrix") -> "OracleMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.shape} @ {other.shape}")
+        orows = other._data
+        out = []
+        for r in self._data:
+            acc = [ZERO] * other.cols
+            for a, orow in zip(r, orows):
+                if a.is_zero:  # projection matrices are often sparse
+                    continue
+                acc = [p if b.is_zero else p + a * b for p, b in zip(acc, orow)]
+            out.append(acc)
+        return OracleMatrix._raw(out, self.rows, other.cols)
+
+    def apply(self, v: Sequence) -> Vector:
+        v = vector(v)
+        if self.cols != len(v):
+            raise DimensionMismatch(f"{self.shape} applied to length-{len(v)} vector")
+        return tuple(sum((a * b for a, b in zip(r, v)), ZERO) for r in self._data)
+
+    def transpose(self) -> "OracleMatrix":
+        return OracleMatrix._raw(zip(*self._data), self.cols, self.rows)
+
+    def conj(self) -> "OracleMatrix":
+        return OracleMatrix._raw(
+            ([a.conjugate() for a in r] for r in self._data), self.rows, self.cols
+        )
+
+    def adjoint(self) -> "OracleMatrix":
+        """Conjugate transpose; an involution."""
+        return self.transpose().conj()
+
+    def trace(self) -> GaussianRational:
+        if self.rows != self.cols:
+            raise DimensionMismatch("trace of a non-square matrix")
+        return sum((self._data[i][i] for i in range(self.rows)), ZERO)
+
+    # -- predicates --------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleMatrix):
+            return NotImplemented
+        return self._data == other._data
+
+    def __hash__(self):
+        return hash(self._data)
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero for r in self._data for a in r)
+
+    def is_hermitian(self) -> bool:
+        return self.rows == self.cols and self == self.adjoint()
+
+    # -- elimination -------------------------------------------------------
+
+    def rref(self) -> Tuple["OracleMatrix", Tuple[int, ...]]:
+        """Reduced row echelon form and the pivot column indices.
+
+        Pivoting takes the first nonzero entry in each column, which is exact
+        over the rationals.
+        """
+        m = [list(r) for r in self._data]
+        pivots: List[int] = []
+        prow = 0
+        for col in range(self.cols):
+            if prow >= self.rows:
+                break
+            sel = next((r for r in range(prow, self.rows) if not m[r][col].is_zero), None)
+            if sel is None:
+                continue
+            m[prow], m[sel] = m[sel], m[prow]
+            inv = ONE / m[prow][col]
+            m[prow] = [inv * a for a in m[prow]]
+            for r in range(self.rows):
+                if r != prow and not m[r][col].is_zero:
+                    f = m[r][col]
+                    m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
+            pivots.append(col)
+            prow += 1
+        return OracleMatrix._raw(m, self.rows, self.cols), tuple(pivots)
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
+
+    def kernel_basis(self) -> List[Vector]:
+        """Basis of the right null space, one vector per free column."""
+        r, pivots = self.rref()
+        pivot_set = set(pivots)
+        free = [j for j in range(self.cols) if j not in pivot_set]
+        basis = []
+        for f in free:
+            v = [ZERO] * self.cols
+            v[f] = ONE
+            for row_idx, p in enumerate(pivots):
+                v[p] = -r[row_idx, f]
+            basis.append(tuple(v))
+        return basis
+
+    def column_space_basis(self) -> List[Vector]:
+        """The pivot columns of the original matrix: a basis of the column space."""
+        _, pivots = self.rref()
+        return [self.column(j) for j in pivots]
+
+    def inverse(self) -> "OracleMatrix":
+        if self.rows != self.cols:
+            raise DimensionMismatch("inverse of a non-square matrix")
+        n = self.rows
+        eye = OracleMatrix.identity(n)
+        aug = OracleMatrix._raw(
+            (list(self._data[i]) + list(eye._data[i]) for i in range(n)), n, 2 * n
+        )
+        r, pivots = aug.rref()
+        if pivots != tuple(range(n)):
+            raise SingularMatrix("matrix is singular")
+        return OracleMatrix._raw((row[n:] for row in r._data), n, n)
+
+    # -- stacking ----------------------------------------------------------
+
+    def hstack(self, other: "OracleMatrix") -> "OracleMatrix":
+        if self.rows != other.rows:
+            raise DimensionMismatch("hstack row mismatch")
+        return OracleMatrix._raw(
+            (a + b for a, b in zip(self._data, other._data)),
+            self.rows,
+            self.cols + other.cols,
+        )
+
+    def vstack(self, other: "OracleMatrix") -> "OracleMatrix":
+        if self.cols != other.cols:
+            raise DimensionMismatch("vstack column mismatch")
+        return OracleMatrix._raw(self._data + other._data, self.rows + other.rows, self.cols)
+
+    # -- misc --------------------------------------------------------------
+
+    def entries(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+        return self._data
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(a) for a in r) for r in self._data)
+        return f"OracleMatrix[{self.rows}x{self.cols}]({body})"
+
+    def _same_shape(self, other: "OracleMatrix"):
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"{self.shape} vs {other.shape}")
+
+
+def oracle_projection_of(vectors: Sequence[Sequence], ambient_dim: int) -> OracleMatrix:
+    """P = V (V*V)^{-1} V* on the Fraction-entry oracle, V the pivot
+    columns of the spanning vectors."""
+    basis_cols = OracleMatrix.from_columns(vectors, rows=ambient_dim).column_space_basis()
+    if not basis_cols:
+        return OracleMatrix.zeros(ambient_dim, ambient_dim)
+    v = OracleMatrix.from_columns(basis_cols, rows=ambient_dim)
+    vh = v.adjoint()
+    return v @ (vh @ v).inverse() @ vh
+
+
+def oracle_split_into_lines(block: Subspace) -> List[Subspace]:
+    """Lines of a block by Gram-Schmidt on Gaussian-rational scalars, each
+    line through P = V (V*V)^{-1} V*, as before the integer kernel."""
+    out: List[Vector] = []
+    for v in block.basis():
+        for u in out:
+            c = inner(u, v) / inner(u, u)
+            v = tuple(a - c * b for a, b in zip(v, u))
+        out.append(v)
+    return [projection_of([u], ambient_dim=block.ambient_dim) for u in out]
