@@ -6,19 +6,19 @@ spanned by subsets of one frame.  Members are stored combinatorially: a
 labeling assigns to each frame line either an eigenvalue slot or nothing
 (the kernel), with exactly dims[t] lines per slot t.  All the subset
 predicates are label comparisons, so counting is exact by construction, and
-a scan of all member pairs reads member 0's joint-label tables
-(member_tables), whose number does not grow with n.
+a scan of all member pairs reads member 0's (overlap, count) cells
+(pair_cells), computed by a transfer over its rows whose states do not grow
+with n.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation
@@ -223,88 +223,89 @@ def n_count(a: Labeling, b: Labeling, ap: Apartment) -> int:
     return (_pair_mask(a.assignment) & _pair_mask(b.assignment)).bit_count()
 
 
-def member_pairs(cls: ClassDescriptor) -> Iterator[Tuple[int, int, int, int]]:
-    """(s, t, image overlap, n_count) for every member pair s < t, in (s, t)
-    order: the exhaustive walk, for listing individual pairs."""
-    masks = [(_pair_mask(a), _image_mask(a)) for a in _member_assignments(cls)]
-    for s, (ps, qs) in enumerate(masks):
-        for t in range(s + 1, len(masks)):
-            pt, qt = masks[t]
-            yield s, t, (qs & qt).bit_count(), (ps & pt).bit_count()
-
-
-class JointTable(NamedTuple):
-    """cells[s][t] = #{i : a_i = s, b_i = t} (None is slot m) for member 0, a,
-    and `weight` members b other than a, each with this overlap and n_count."""
-
-    cells: Tuple[Tuple[int, ...], ...]
-    overlap: int
-    count: int
-    weight: int
-
-
 def _multinomial(parts: Sequence[int]) -> int:
     """sum(parts)! / prod(p!), as a product of binomials."""
     return math.prod(map(math.comb, accumulate(parts), parts))
 
 
-def member_tables(cls: ClassDescriptor) -> Iterator[JointTable]:
-    """The joint tables of member 0, which labels the first d_0 frame lines
-    0, the next d_1 lines 1, ..., and the last n - k lines None.  Row and
-    column sums are both r = (d_0, ..., d_{m-1}, n - k), and
+def _rows(left: Tuple[int, ...], d: int) -> List[List[Tuple[int, int]]]:
+    """Every row of sum d with c_t <= left[t], as its nonzero cells (t, c_t)."""
+    rows: list = []
+
+    def fill(start: int, need: int, cells: list):
+        if not need:
+            rows.append(cells)
+            return
+        for t in range(start, len(left)):
+            for c in range(1, min(need, left[t]) + 1):
+                fill(t + 1, need - c, cells + [(t, c)])
+
+    fill(0, d, [])
+    return rows
+
+
+def _merge(cells: dict, key, weight: int, first: int) -> None:
+    """Add weight to cells[key] and keep the least first index."""
+    w, f = cells.get(key, (0, first))
+    cells[key] = (w + weight, min(f, first))
+
+
+def pair_cells(cls: ClassDescriptor) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """(overlap, n_count) against member 0 -> (weight, first): the number of
+    other members in that cell and the least enumeration index among them.
+
+    Member 0, a, labels the first d_0 frame lines 0, the next d_1 lines 1,
+    ..., and the last n - k lines None.  A member b meets it in the joint
+    table c[s][t] = #{i : a_i = s, b_i = t} (None is slot m), with row and
+    column sums r = (d_0, ..., d_{m-1}, n - k).  The table gives
       overlap = the sum of the cells with s and t both slots,
       count = C(n, 2) - 2 sum_s C(r_s, 2) + sum_{s,t} C(c_st, 2),
-      weight = prod_s multinomial(r_s; c_s.) - [c is diagonal, i.e. b = a].
-    S_n moves member 0 to any member and keeps both numbers, so a table of
-    weight w stands for w*M/2 of the C(M, 2) member pairs.  The slot block
-    fixes the other cells, so for n >= 2k the tables do not depend on n."""
-    n, k, m = cls.n, cls.rank, cls.m
+      #members = prod_s multinomial(r_s; c_s.),
+    and its first member, which sorts each of a's blocks ascending, slots
+    before None, has as index its rank among the orderings of the labels.
+    Only the column sums couple a's rows, so a transfer walks the slot rows
+    with state (column sums left, still diagonal).  A row adds to the rank
+    an amount fixed by the state and the row, so the least index is carried
+    as a minimum.  The None row is forced, and the diagonal table, a itself,
+    is dropped.  After each row there are at most prod_t (d_t + 1) states
+    besides the diagonal one, whatever n is.
+
+    S_n moves member 0 to any member and keeps both numbers, so a cell of
+    weight w holds w*M/2 of the C(M, 2) member pairs, the first in (s, t)
+    order being [0, first]."""
+    n, k = cls.n, cls.rank
     r = cls.dims + (n - k,)
+    # (column sums left, still diagonal) -> {sum C(c, 2) so far: (weight, least rank)}
+    states = {(r, True): {0: (1, 0)}}
+    for s, d in enumerate(cls.dims):
+        after_row: dict = {}
+        for (left, diagonal), cells in states.items():
+            starts, all_orderings = [0, *accumulate(left)], _multinomial(left)
+            for row in _rows(left, d):
+                rest, remaining, orderings, rank, placed = list(left), starts[-1], all_orderings, 0, 0
+                for t, c in row:
+                    below = starts[t] - placed  # labels before t still to place
+                    for _ in range(c):
+                        rank += orderings * below // remaining
+                        orderings = orderings * rest[t] // remaining
+                        rest[t] -= 1
+                        remaining -= 1
+                    placed += c
+                weight = _multinomial([c for _, c in row])
+                alike = sum(c * (c - 1) // 2 for _, c in row)
+                target = after_row.setdefault((tuple(rest), diagonal and row == [(s, d)]), {})
+                for same, (w, first) in cells.items():
+                    _merge(target, same + alike, w * weight, first + rank)
+        states = after_row
     base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in r)
-
-    def blocks(s: int, left: Tuple[int, ...]):  # slot rows s.. within column sums left
-        if s == m:
-            yield (), left
-            return
-        for row in product(*(range(c + 1) for c in left)):
-            if sum(row) <= cls.dims[s]:
-                for rest, last in blocks(s + 1, tuple(c - x for c, x in zip(left, row))):
-                    yield (row,) + rest, last
-
-    for block, left in blocks(0, cls.dims):
-        cells = tuple(row + (d - sum(row),) for row, d in zip(block + (left,), r))
-        if cells[m][m] < 0:  # needs n >= 2k - overlap
-            continue
-        overlap = sum(map(sum, block))
-        weight = math.prod(map(_multinomial, cells)) - all(cells[s][s] == x for s, x in enumerate(r))
-        if weight:
-            count = base + sum(math.comb(c, 2) for row in cells for c in row)
-            yield JointTable(cells, overlap, count, weight)
-
-
-def table_histogram(cls: ClassDescriptor) -> Counter:
-    """(overlap, n_count) against member 0 -> the number of other members."""
-    histogram: Counter = Counter()
-    for t in member_tables(cls):
-        histogram[t.overlap, t.count] += t.weight
-    return histogram
-
-
-def first_member_rank(cls: ClassDescriptor, cells: Sequence[Sequence[int]]) -> int:
-    """The enumeration index of the first member with joint table `cells`.
-    It sorts each of member 0's blocks ascending, slots before None, and is
-    ranked among the orderings of the label multiset: a smaller label v at
-    a place counts P * left[v] / remaining, P orderings of the labels left."""
-    left, remaining, rank = list(cls.dims) + [cls.n - cls.rank], cls.n, 0
-    orderings = _multinomial(left)
-    for row in cells:
-        for t, c in enumerate(row):
-            for _ in range(c):
-                rank += orderings * sum(left[:t]) // remaining
-                orderings = orderings * left[t] // remaining
-                left[t] -= 1
-                remaining -= 1
-    return rank
+    result: dict = {}
+    for (left, diagonal), cells in states.items():
+        if not diagonal:
+            overlap, weight = k - sum(left[:-1]), _multinomial(left)
+            count = base + sum(c * (c - 1) // 2 for c in left)
+            for same, (w, first) in cells.items():
+                _merge(result, (overlap, count + same), w * weight, first)
+    return result
 
 
 def lemma3_bound(k: int, m: int, n: int) -> int:

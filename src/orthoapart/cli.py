@@ -19,12 +19,9 @@ from . import serialize
 from .apartments import (
     Apartment,
     c_eval,
-    first_member_rank,
     is_orthogonally_inexact,
     lemma3_bound,
-    member_pairs,
-    member_tables,
-    table_histogram,
+    pair_cells,
 )
 from .compatibility import refine_to_frame
 from .errors import IncompatibleFamily, OrthoapartError, ThresholdViolation
@@ -58,47 +55,45 @@ def _check_frame(cls: ClassDescriptor, frame_path: Optional[str]) -> None:
         Apartment(serialize.frame_from_json(_read_json(frame_path)), cls)
 
 
-def _pairs_where(cls: ClassDescriptor, histogram: dict, bad) -> list:
-    """Every member pair (s, t, m, count) with bad(m, count), in (s, t)
-    order.  A bad pair exists iff member 0's table histogram holds one (see
-    member_tables), so the exhaustive walk runs only then."""
-    if not any(bad(m, count) for m, count in histogram):
-        return []
-    return [p for p in member_pairs(cls) if bad(p[2], p[3])]
+def _cells_by_first(cells: dict, members: int):
+    """(m, count, first pair, pairs) for each cell of member 0, in order of
+    its first pair [0, first] (see pair_cells)."""
+    for (m, count), (w, first) in sorted(cells.items(), key=lambda cell: cell[1][1]):
+        yield m, count, [0, first], w * members // 2
 
 
-def _lemma3_violations(cls: ClassDescriptor, histogram: dict) -> list:
+def _lemma3_violations(cls: ClassDescriptor, cells: dict, members: int) -> list:
     bounds = [lemma3_bound(cls.rank, m, cls.n) for m in range(cls.rank + 1)]
     return [
-        {"pair": [s, t], "m": m, "count": count, "bound": bounds[m]}
-        for s, t, m, count in _pairs_where(cls, histogram, lambda m, count: count < bounds[m])
+        {"pair": pair, "m": m, "count": count, "bound": bounds[m], "pairs": pairs}
+        for m, count, pair, pairs in _cells_by_first(cells, members) if count < bounds[m]
     ]
 
 
-def _lemma4_disagreements(cls: ClassDescriptor, histogram: dict) -> list:
+def _lemma4_disagreements(cls: ClassDescriptor, cells: dict, members: int) -> list:
     k2 = cls.rank ** 2
     return [
-        {"pair": [s, t], "by_count": count == k2, "direct": m == 0}
-        for s, t, m, count in _pairs_where(cls, histogram, lambda m, count: (count == k2) != (m == 0))
+        {"pair": pair, "by_count": count == k2, "direct": m == 0, "pairs": pairs}
+        for m, count, pair, pairs in _cells_by_first(cells, members) if (count == k2) != (m == 0)
     ]
 
 
 def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) -> dict:
     """Check every member pair of the apartment: the shared-subset count must
     meet the quadratic bound at m = dim(Im cap Im), with exact equality k^2
-    on orthogonal pairs.  Member 0's joint tables decide all pairs (see
-    member_tables): a table of weight w stands for w*M/2 pairs, which gives
-    each histogram cell and pair total, and the pairs are walked one by one
-    only to list violations.  A --frame file is loaded and checked against
-    the class; the counts do not depend on the frame."""
+    on orthogonal pairs.  Member 0's (overlap, count) cells decide all pairs
+    (see pair_cells): a cell of weight w holds w*M/2 pairs, which gives each
+    histogram cell and pair total, and a violation is one bad cell, listed
+    by its first pair.  A --frame file is loaded and checked against the
+    class; the counts do not depend on the frame."""
     n, k = cls.n, cls.rank
     if n < 2 * k + 1:
         raise OrthoapartError(f"need n > 2k (n={n}, k={k})")
     _check_frame(cls, frame_path)
-    weights = table_histogram(cls)
-    members = 1 + sum(weights.values())
+    cells = pair_cells(cls)
+    members = 1 + sum(w for w, _ in cells.values())
     histogram: dict = {}
-    for (m, count), w in weights.items():
+    for (m, count), (w, _) in cells.items():
         histogram.setdefault(m, {})[count] = w
     orth = histogram.get(0, {})
     return {
@@ -111,7 +106,7 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
         "pairs_checked": members * (members - 1) // 2,
         "orthogonal_pairs": sum(orth.values()) * members // 2,
         "orthogonal_pairs_with_k_squared": orth.get(k * k, 0) * members // 2,
-        "violations": _lemma3_violations(cls, weights),
+        "violations": _lemma3_violations(cls, cells, members),
         "counts_histogram": {
             str(m): sorted([c, f * members // 2] for c, f in hist.items())
             for m, hist in sorted(histogram.items())
@@ -121,16 +116,16 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
 
 def cmd_verify_lemma4(cls: ClassDescriptor, frame_path: Optional[str] = None) -> dict:
     """Check that count == k^2 characterizes orthogonality over all member
-    pairs.  Requires n >= 4k.  Member 0's joint tables decide whether any
-    pair disagrees (see member_tables); the pairs are walked one by one only
-    to list disagreements.  A --frame file is loaded and checked against the
-    class; the counts do not depend on the frame."""
+    pairs.  Requires n >= 4k.  Member 0's (overlap, count) cells decide all
+    pairs (see pair_cells); a disagreement is one bad cell, listed by its
+    first pair.  A --frame file is loaded and checked against the class; the
+    counts do not depend on the frame."""
     n, k = cls.n, cls.rank
     if n < 4 * k:
         raise ThresholdViolation(f"lemma requires n >= 4k (n={n}, k={k})")
     _check_frame(cls, frame_path)
-    weights = table_histogram(cls)
-    members = 1 + sum(weights.values())
+    cells = pair_cells(cls)
+    members = 1 + sum(w for w, _ in cells.values())
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-lemma4",
@@ -139,7 +134,7 @@ def cmd_verify_lemma4(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
         "k": k,
         "members": members,
         "pairs_checked": members * (members - 1) // 2,
-        "violations": _lemma4_disagreements(cls, weights),
+        "violations": _lemma4_disagreements(cls, cells, members),
     }
 
 
@@ -147,10 +142,11 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
     """For each even-or-odd n with 2k < n < 4k in the range: tabulate c(0)
     against c((4k-n)/2) when that point is integral, and count the
     non-orthogonal member pairs attaining count k^2: the weight of member
-    0's joint tables with that property times M/2.  The first such pair in
-    (s, t) order is [0, t] for the least first_member_rank t of those
-    tables.  Findings are reported, not asserted."""
+    0's cells with that property times M/2 (see pair_cells).  The first
+    such pair in (s, t) order is [0, t] for the least first index t of those
+    cells.  Findings are reported, not asserted."""
     k = sum(cls_dims)
+    ClassDescriptor(k, tuple(alphas), tuple(cls_dims))  # a bad class is an error before any n
     lo, hi = n_range
     ns = range(max(lo, 2 * k + 1), min(hi, 4 * k - 1) + 1)
     if not ns:
@@ -161,12 +157,9 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
         c0 = c_eval(0, k, n)
         m_star = Fraction(4 * k - n, 2)
         integral = m_star.denominator == 1 and 0 < m_star < k
-        members, hits, ranks = 1, 0, []
-        for t in member_tables(cls):
-            members += t.weight
-            if t.overlap != 0 and t.count == k * k:
-                hits += t.weight
-                ranks.append(first_member_rank(cls, t.cells))
+        cells = pair_cells(cls)
+        members = 1 + sum(w for w, _ in cells.values())
+        hits = [(w, first) for (m, count), (w, first) in cells.items() if m != 0 and count == k * k]
         entries.append({
             "n": n,
             "c0": str(c0),
@@ -174,8 +167,8 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
             "m_star_integral": integral,
             "c_at_m_star": str(c_eval(m_star, k, n)) if integral else None,
             "c0_equals_c_m_star": bool(integral and c_eval(m_star, k, n) == c0),
-            "nonorthogonal_pairs_with_k_squared": hits * members // 2,
-            "first_such_pair": [0, min(ranks)] if ranks else None,
+            "nonorthogonal_pairs_with_k_squared": sum(w for w, _ in hits) * members // 2,
+            "first_such_pair": [0, min(first for _, first in hits)] if hits else None,
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -282,7 +275,10 @@ def _parse_n_range(text: str) -> Tuple[int, int]:
 
 
 def _parse_dims(text: str):
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise OrthoapartError(f"--dims must be comma-separated integers, got {text!r}") from None
 
 
 def _class_from_args(args) -> ClassDescriptor:

@@ -34,17 +34,17 @@ from orthoapart import (
 )
 from orthoapart.apartments import (
     _member_assignments,
-    first_member_rank,
     image_overlap,
     labelings_orthogonal,
-    member_tables,
-    table_histogram,
+    pair_cells,
 )
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
 from orthoapart.subspaces import Subspace
 
 from util import (
     compositions,
+    first_member_rank,
+    member_tables,
     oracle_joint_table,
     oracle_member_assignments,
     oracle_member_row,
@@ -276,23 +276,46 @@ def test_member_tables_and_ranks_match_every_member():
 
 
 def test_member_tables_match_member_row_oracle():
-    # every composition of k <= 4 and every n with 2k < n <= 4k + 4
+    # every composition of k <= 4 and every n with 2k < n <= 4k + 4: pair_cells
+    # against member 0's row, members read one by one
     classes = 0
     for k in range(1, 5):
         for dims in compositions(k):
             for n in range(2 * k + 1, 4 * k + 5):
                 cls = cls_of(n, dims)
                 row = oracle_member_row(cls)
-                histogram = table_histogram(cls)
+                cells = pair_cells(cls)
+                histogram = Counter({cell: w for cell, (w, _) in cells.items()})
                 assert histogram == Counter(row), cls
                 members = math.perm(n, k) // math.prod(math.factorial(d) for d in dims)
                 assert sum(histogram.values()) == len(row) == members - 1
+                first = {}
+                for i, cell in enumerate(row, 1):
+                    first.setdefault(cell, i)
+                assert {cell: f for cell, (_, f) in cells.items()} == first, cls
                 hits = [i for i, (m, count) in enumerate(row, 1) if m != 0 and count == k * k]
-                ranks = [first_member_rank(cls, t.cells) for t in member_tables(cls)
-                         if t.overlap != 0 and t.count == k * k]
+                ranks = [f for (m, count), (_, f) in cells.items() if m != 0 and count == k * k]
                 assert min(ranks, default=None) == (hits[0] if hits else None), cls
                 classes += 1
     assert classes == 158
+
+
+def test_pair_cells_match_member_tables():
+    # every composition of k <= 5 and every n with k <= n <= 4k + 2, n < 2k
+    # included (some tables are then infeasible): the transfer's weight and
+    # least index per (overlap, count) cell against the listed tables
+    classes = 0
+    for k in range(1, 6):
+        for dims in compositions(k):
+            for n in range(k, 4 * k + 3):
+                cls = cls_of(n, dims)
+                want = {}
+                for t in member_tables(cls):
+                    w, first = want.get((t.overlap, t.count), (0, math.inf))
+                    want[t.overlap, t.count] = (w + t.weight, min(first, first_member_rank(cls, t.cells)))
+                assert pair_cells(cls) == want, cls
+                classes += 1
+    assert classes == 480
 
 
 def test_rotated_frame_cross_validation():

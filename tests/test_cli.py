@@ -13,9 +13,9 @@ from orthoapart import cli, serialize
 from orthoapart.apartments import (
     Labeling,
     PairIndex,
+    pair_cells,
     rotated_frame,
     standard_apartment,
-    table_histogram,
 )
 from orthoapart.cli import (
     cmd_counterexample,
@@ -30,7 +30,13 @@ from orthoapart.operators import ClassDescriptor
 from fractions import Fraction
 
 import util
-from util import compositions, oracle_scan_boundary, oracle_verify_lemma3, oracle_verify_lemma4
+from util import (
+    compositions,
+    member_pairs,
+    oracle_scan_boundary,
+    oracle_verify_lemma3,
+    oracle_verify_lemma4,
+)
 
 
 def cls_of(n, dims):
@@ -158,9 +164,21 @@ def test_cli_deterministic_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_config_error_exit_code():
+def test_cli_config_error_exit_code(capsys):
     assert main(["verify-lemma4", "--n", "11", "--alphas", "1,2", "--dims", "1,2"]) == 2
     assert main(["verify-lemma3", "--n", "6", "--alphas", "1,1", "--dims", "1,1"]) == 2
+    # bad dims are named as such, before any scan range is clipped
+    for argv, message in (
+        (["scan-boundary", "--n-range", "1:10", "--alphas", "1,2", "--dims", "1,-2"],
+         "eigenspace dimensions must be positive"),
+        (["scan-boundary", "--n-range", "1:10", "--alphas", "1,2", "--dims", ","], "--dims"),
+        (["verify-lemma3", "--n", "6", "--alphas", "1,2", "--dims", ","], "--dims"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err, (argv, captured.err)
 
 
 def test_cli_refine_and_incompatible(tmp_path, capsys):
@@ -336,8 +354,61 @@ def test_label_commands_at_large_n(capsys):
             assert sum(cells) == report["pairs_checked"]
 
 
+WIDE = ["--alphas", "1,2,3,4,5,6,7,8", "--dims", "1,1,1,1,1,1,1,1"]
+
+
+def run_quickly(argv, capsys) -> dict:
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 2, argv
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command, n", [("verify-lemma3", 17), ("verify-lemma4", 32)])
+def test_label_commands_on_wide_partitions(command, n, capsys):
+    # eight one-dimensional slots give 1.44M joint tables, which took about a
+    # minute to list; the transfer keeps at most 2^8 + 1 states per row
+    report = run_quickly([command, "--n", str(n)] + WIDE, capsys)
+    assert report["violations"] == []
+    members = math.perm(n, 8)
+    assert report["members"] == members
+    assert report["pairs_checked"] == math.comb(members, 2)
+    if "counts_histogram" in report:
+        cells = [f for hist in report["counts_histogram"].values() for _, f in hist]
+        assert sum(cells) == report["pairs_checked"]
+
+
+def test_scan_boundary_on_wide_partitions(capsys):
+    report = run_quickly(["scan-boundary", "--n-range", "17:20"] + WIDE, capsys)
+    assert [e["n"] for e in report["entries"]] == [17, 18, 19, 20]
+    for entry in report["entries"]:
+        lemma3 = cmd_verify_lemma3(cls_of(entry["n"], (1,) * 8))
+        hits = sum(f for m, hist in lemma3["counts_histogram"].items() if m != "0"
+                   for count, f in hist if count == 64)
+        assert entry["nonorthogonal_pairs_with_k_squared"] == hits
+        assert (entry["first_such_pair"] is None) == (hits == 0)
+
+
+def assert_listed_by_cell(cls, got, bad_pairs):
+    """`got` has one entry per (overlap, count) cell of the oracle's bad
+    pairs, in first-pair order, each with the cell's first pair and size.
+    Returns the cells in that order."""
+    groups = {}
+    bad = {tuple(p) for p in bad_pairs}
+    for s, t, m, count in member_pairs(cls):
+        if (s, t) in bad:
+            first, size = groups.get((m, count), ([s, t], 0))
+            groups[m, count] = (first, size + 1)
+    cells = sorted(groups, key=lambda cell: groups[cell][0])
+    assert [e["pair"] for e in got] == [groups[cell][0] for cell in cells]
+    assert [e["pairs"] for e in got] == [groups[cell][1] for cell in cells]
+    assert sum(e["pairs"] for e in got) == len(bad_pairs)
+    return cells
+
+
 def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
-    # no class violates the bound; raised at m = 0, every orthogonal pair does
+    # no class violates the bound; raised at m = 0, every orthogonal pair
+    # does: one entry per bad (m, count) cell, keyed by its first pair
     def raised(k, m, n):
         return (k - m) ** 2 + m * (n - 2 * k + m) + (m == 0)
 
@@ -346,15 +417,23 @@ def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
     for cls in (cls_of(7, (1, 2)), cls_of(9, (1, 1, 1)), cls_of(8, (3,))):
         got, want = cmd_verify_lemma3(cls), oracle_verify_lemma3(cls)
         assert 0 < len(got["violations"]) < got["pairs_checked"]
+        cells = assert_listed_by_cell(cls, got["violations"], [v["pair"] for v in want["violations"]])
+        assert [(e["m"], e["count"], e["bound"]) for e in got["violations"]] == [
+            (m, count, raised(cls.rank, m, cls.n)) for m, count in cells]
+        got.pop("violations"), want.pop("violations")
         assert report_bytes(got) == report_bytes(want)
 
 
 def test_lemma4_disagreements_below_threshold_listed_like_the_oracle():
     # below n >= 4k count k^2 no longer decides orthogonality, e.g. dims 3 at n=8
     for cls in (cls_of(8, (3,)), cls_of(7, (1, 2)), cls_of(9, (2, 2))):
-        got = cli._lemma4_disagreements(cls, table_histogram(cls))
+        oracle = oracle_verify_lemma4(cls)
+        got = cli._lemma4_disagreements(cls, pair_cells(cls), oracle["members"])
         assert got
-        assert got == oracle_verify_lemma4(cls)["violations"]
+        want = oracle["violations"]
+        assert_listed_by_cell(cls, got, [v["pair"] for v in want])
+        verdicts = {tuple(v["pair"]): (v["by_count"], v["direct"]) for v in want}
+        assert [(e["by_count"], e["direct"]) for e in got] == [verdicts[tuple(e["pair"])] for e in got]
 
 
 def test_label_commands_frame_option(tmp_path, capsys):

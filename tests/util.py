@@ -8,10 +8,11 @@ while exercising genuinely non-coordinate subspaces.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations, permutations, product
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from orthoapart import (
     Apartment,
@@ -37,6 +38,7 @@ from orthoapart.apartments import (
     Slot,
     _image_mask,
     _member_assignments,
+    _multinomial,
     _pair_mask,
     c_eval,
     enumerate_members,
@@ -240,7 +242,8 @@ def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# member-0 oracles for the joint-label tables: every member read one by one
+# member-0 oracles for pair_cells: the joint-label tables listed one by one,
+# the members read one by one, and the exhaustive pair walk
 
 def oracle_member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
     """(image overlap, n_count) of member 0 against each member t >= 1, in
@@ -253,6 +256,77 @@ def oracle_member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
         (sum(b[i] is not None for i in image), sum(b[i] != b[j] for i, j in split))
         for b in rest
     ]
+
+
+def member_pairs(cls: ClassDescriptor) -> Iterator[Tuple[int, int, int, int]]:
+    """(s, t, image overlap, n_count) for every member pair s < t, in (s, t)
+    order: the exhaustive walk, for listing individual pairs."""
+    masks = [(_pair_mask(a), _image_mask(a)) for a in _member_assignments(cls)]
+    for s, (ps, qs) in enumerate(masks):
+        for t in range(s + 1, len(masks)):
+            pt, qt = masks[t]
+            yield s, t, (qs & qt).bit_count(), (ps & pt).bit_count()
+
+
+class JointTable(NamedTuple):
+    """cells[s][t] = #{i : a_i = s, b_i = t} (None is slot m) for member 0, a,
+    and `weight` members b other than a, each with this overlap and n_count."""
+
+    cells: Tuple[Tuple[int, ...], ...]
+    overlap: int
+    count: int
+    weight: int
+
+
+def member_tables(cls: ClassDescriptor) -> Iterator[JointTable]:
+    """The joint tables of member 0, which labels the first d_0 frame lines
+    0, the next d_1 lines 1, ..., and the last n - k lines None.  Row and
+    column sums are both r = (d_0, ..., d_{m-1}, n - k), and
+      overlap = the sum of the cells with s and t both slots,
+      count = C(n, 2) - 2 sum_s C(r_s, 2) + sum_{s,t} C(c_st, 2),
+      weight = prod_s multinomial(r_s; c_s.) - [c is diagonal, i.e. b = a].
+    S_n moves member 0 to any member and keeps both numbers, so a table of
+    weight w stands for w*M/2 of the C(M, 2) member pairs.  The slot block
+    fixes the other cells, so for n >= 2k the tables do not depend on n."""
+    n, k, m = cls.n, cls.rank, cls.m
+    r = cls.dims + (n - k,)
+    base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in r)
+
+    def blocks(s: int, left: Tuple[int, ...]):  # slot rows s.. within column sums left
+        if s == m:
+            yield (), left
+            return
+        for row in product(*(range(c + 1) for c in left)):
+            if sum(row) <= cls.dims[s]:
+                for rest, last in blocks(s + 1, tuple(c - x for c, x in zip(left, row))):
+                    yield (row,) + rest, last
+
+    for block, left in blocks(0, cls.dims):
+        cells = tuple(row + (d - sum(row),) for row, d in zip(block + (left,), r))
+        if cells[m][m] < 0:  # needs n >= 2k - overlap
+            continue
+        overlap = sum(map(sum, block))
+        weight = math.prod(map(_multinomial, cells)) - all(cells[s][s] == x for s, x in enumerate(r))
+        if weight:
+            count = base + sum(math.comb(c, 2) for row in cells for c in row)
+            yield JointTable(cells, overlap, count, weight)
+
+
+def first_member_rank(cls: ClassDescriptor, cells: Sequence[Sequence[int]]) -> int:
+    """The enumeration index of the first member with joint table `cells`.
+    It sorts each of member 0's blocks ascending, slots before None, and is
+    ranked among the orderings of the label multiset: a smaller label v at
+    a place counts P * left[v] / remaining, P orderings of the labels left."""
+    left, remaining, rank = list(cls.dims) + [cls.n - cls.rank], cls.n, 0
+    orderings = _multinomial(left)
+    for row in cells:
+        for t, c in enumerate(row):
+            for _ in range(c):
+                rank += orderings * sum(left[:t]) // remaining
+                orderings = orderings * left[t] // remaining
+                left[t] -= 1
+                remaining -= 1
+    return rank
 
 
 def oracle_joint_table(cls: ClassDescriptor, a, b) -> Tuple[Tuple[int, ...], ...]:
