@@ -2,9 +2,9 @@
 counterexample certificates, family refinement, and inexactness decisions.
 
 All reports are JSON with a stable schema_version field and deterministic
-contents (sorted aggregation; a fixed seed reproduces a byte-identical
-report).  Exit codes: 0 = no violations, 1 = violations found, 2 =
-configuration error.
+contents (sorted aggregation; the same arguments reproduce a
+byte-identical report).  Exit codes: 0 = no violations, 1 = violations
+found, 2 = configuration error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .rigidity import (
     gram_obstruction,
 )
 from .scalars import parse_scalar
-from .subspaces import Subspace
 
 SCHEMA_VERSION = 1
 
@@ -181,25 +180,16 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
     }
 
 
+SWAPS = {"orth": example_orth_swap, "comm": example_comm_swap}
+
+
 def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
-    """Build the requested swap over a full apartment of bystanders and emit
-    its preservation/obstruction certificate, decided on labels (see
-    rigidity)."""
-    n, k = cls.n, cls.rank
-    if name == "orth":
-        x = Subspace.coordinate(n, range(k))
-        t = example_orth_swap(cls, x)
-    elif name == "comm":
-        if cls.m != 2 or cls.dims[0] != cls.dims[1]:
-            raise OrthoapartError(
-                "the commutativity counterexample needs two eigenvalues of equal dimension"
-            )
-        m_dim = cls.dims[0]
-        x = Subspace.coordinate(n, range(m_dim))
-        y = Subspace.coordinate(n, range(m_dim, 2 * m_dim))
-        t = example_comm_swap(n, cls.alphas[0], cls.alphas[1], m_dim, x, y)
-    else:
+    """Build the requested swap from the class over its standard apartment,
+    every other member a bystander, and emit its preservation/obstruction
+    certificate, decided on labels (see rigidity)."""
+    if name not in SWAPS:
         raise OrthoapartError(f"unknown counterexample {name!r}")
+    t = SWAPS[name](cls)
     witness = gram_obstruction(t)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -259,7 +249,12 @@ def cmd_inexact(members_path: str, frame_path: Optional[str] = None) -> dict:
 def _parse_alphas(text: str):
     alphas = []
     for part in text.split(","):
-        s = parse_scalar(part)
+        try:
+            s = parse_scalar(part)
+        except ValueError as exc:
+            raise OrthoapartError(
+                f"--alphas must be comma-separated exact rationals, got {text!r}: {exc}"
+            ) from None
         if not s.is_real:
             raise OrthoapartError("eigenvalues must be real rationals")
         alphas.append(s.re)
@@ -302,6 +297,28 @@ def _emit(report: dict, args) -> int:
     return 0 if not violations else 1
 
 
+# every argument a subcommand may take; each subcommand takes only those it reads
+ARGUMENTS = {
+    "name": dict(choices=list(SWAPS)),
+    "family": dict(help="family JSON file (list of spanning sets)"),
+    "members": dict(help="member-set JSON file (class + labelings)"),
+    "--n": dict(type=int, help="ambient dimension"),
+    "--alphas": dict(help="comma-separated eigenvalues, exact p/q form"),
+    "--dims": dict(help="comma-separated eigenspace dimensions"),
+    "--frame": dict(help="frame JSON file, checked against the class"),
+    "--n-range": dict(required=True, help="inclusive range lo:hi of ambient dimensions"),
+    "--out": dict(help="write the JSON report here"),
+}
+COMMANDS = {
+    "verify-lemma3": ("--n", "--alphas", "--dims", "--frame"),
+    "verify-lemma4": ("--n", "--alphas", "--dims", "--frame"),
+    "scan-boundary": ("--alphas", "--dims", "--n-range"),
+    "counterexample": ("name", "--n", "--alphas", "--dims"),
+    "refine": ("family", "--n"),
+    "inexact": ("members", "--frame"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthoapart",
@@ -309,34 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         "conjugacy classes of finite-rank self-adjoint operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, help="ambient dimension")
-        p.add_argument("--alphas", help="comma-separated eigenvalues, exact p/q form")
-        p.add_argument("--dims", help="comma-separated eigenspace dimensions")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-        p.add_argument("--frame", help="custom frame JSON file")
-        p.add_argument("--out", help="write the JSON report here")
-
-    for name in ("verify-lemma3", "verify-lemma4"):
-        common(sub.add_parser(name))
-
-    p = sub.add_parser("scan-boundary")
-    common(p)
-    p.add_argument("--n-range", required=True, help="inclusive range lo:hi of ambient dimensions")
-
-    p = sub.add_parser("counterexample")
-    common(p)
-    p.add_argument("name", choices=["orth", "comm"])
-
-    p = sub.add_parser("refine")
-    common(p)
-    p.add_argument("family", help="family JSON file (list of spanning sets)")
-
-    p = sub.add_parser("inexact")
-    common(p)
-    p.add_argument("members", help="member-set JSON file (class + labelings)")
-
+    for command, names in COMMANDS.items():
+        # no prefix matching: scan-boundary --n must not read as --n-range
+        p = sub.add_parser(command, allow_abbrev=False)
+        for name in names + ("--out",):
+            p.add_argument(name, **ARGUMENTS[name])
     return parser
 
 
@@ -379,7 +373,6 @@ def main(argv=None) -> int:
     except (OrthoapartError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["seed"] = args.seed if hasattr(args, "seed") else 0
     return _emit(report, args)
 
 

@@ -3,8 +3,9 @@
 Two generators produce finite relation-preserving swaps that no unitary or
 anti-unitary conjugation can induce: the image-swap (two distinct operators
 sharing one image, everything else fixed) and the eigenvalue-swap for a
-class with two equal-dimensional eigenspaces.  Each swap permutes the
-members of one apartment.  Non-inducibility is certified through the trace
+class with two equal-dimensional eigenspaces.  Each swap is built from the
+class alone and permutes the members of its standard apartment, the one
+on the coordinate frame.  Non-inducibility is certified through the trace
 pairing tr(AB), which any unitary or anti-unitary conjugation preserves.
 
 The certificate is decided on labels, with no operator materialized:
@@ -24,11 +25,11 @@ from .apartments import (
     Labeling,
     enumerate_members,
     labelings_orthogonal,
+    standard_apartment,
     trace_pairing,
 )
-from .compatibility import Frame, split_into_lines
+from .compatibility import split_into_lines
 from .errors import (
-    DimensionMismatch,
     NoRoom,
     NotAnEigenline,
     OrthoapartError,
@@ -75,22 +76,14 @@ class GramWitness:
 # ---------------------------------------------------------------------------
 # counterexample generators
 
-def _frame_extending(groups: Sequence[Subspace], n: int) -> Frame:
-    """Frame whose first lines split the given mutually orthogonal groups in
-    order, completed by lines of the orthocomplement."""
-    lines: List[Subspace] = []
-    total = Subspace.zero(n)
-    for g in groups:
-        lines.extend(split_into_lines(g))
-        total = span_sum(total, g)
-    lines.extend(split_into_lines(total.perp()))
-    return Frame(n, tuple(lines))
-
-
 def _swap_transformation(
-    ap: Apartment, a: Labeling, b: Labeling
+    cls: ClassDescriptor, a: List[Optional[int]], b: List[Optional[int]]
 ) -> FiniteTransformation:
-    """All apartment members as bystanders, with a and b transposed."""
+    """All members of the standard apartment as bystanders, with the
+    labelings a and b of its first frame lines transposed."""
+    ap = standard_apartment(cls)
+    rest = [None] * (cls.n - len(a))
+    a, b = Labeling(tuple(a + rest)), Labeling(tuple(b + rest))
     members = tuple(enumerate_members(ap))
     ia, ib = members.index(a), members.index(b)
     mapping = list(range(len(members)))
@@ -98,59 +91,34 @@ def _swap_transformation(
     return FiniteTransformation(ap, members, tuple(mapping))
 
 
-def example_orth_swap(cls: ClassDescriptor, x: Subspace) -> FiniteTransformation:
-    """Transpose two distinct operators whose images both equal x and fix
-    every other member of an apartment through x.  The swap preserves
-    orthogonality on the whole domain but is not induced by any unitary or
-    anti-unitary operator (see gram_obstruction)."""
+def example_orth_swap(cls: ClassDescriptor) -> FiniteTransformation:
+    """Transpose two distinct operators whose images both equal x, the span
+    of the first k standard frame lines, and fix every other member of the
+    standard apartment: one labels x's lines with the slots in order, the
+    other in reverse.  The swap preserves orthogonality on the whole domain
+    but is not induced by any unitary or anti-unitary operator (see
+    gram_obstruction)."""
     if cls.m < 2:
         raise ProjectionClass(
             "a single-eigenvalue class has exactly one operator per image"
         )
-    if x.ambient_dim != cls.n:
-        raise DimensionMismatch("subspace ambient dimension differs from class")
-    if x.dim != cls.rank:
-        raise OrthoapartError(f"image must have dimension {cls.rank}, got {x.dim}")
-    frame = _frame_extending([x], cls.n)
-    ap = Apartment(frame, cls)
-    k = cls.rank
-    # two labelings of the same k frame lines: slots consumed forward vs backward
-    forward: List[Optional[int]] = [None] * cls.n
-    backward: List[Optional[int]] = [None] * cls.n
-    pos = 0
-    for t, d in enumerate(cls.dims):
-        for _ in range(d):
-            forward[pos] = t
-            backward[k - 1 - pos] = t
-            pos += 1
-    return _swap_transformation(ap, Labeling(tuple(forward)), Labeling(tuple(backward)))
+    forward = [t for t, d in enumerate(cls.dims) for _ in range(d)]
+    return _swap_transformation(cls, forward, forward[::-1])
 
 
-def example_comm_swap(
-    n: int,
-    alpha,
-    beta,
-    m_dim: int,
-    x: Subspace,
-    y: Subspace,
-) -> FiniteTransformation:
-    """Transpose A = alpha P_x + beta P_y and B = alpha P_y + beta P_x,
-    fixing every other member of an apartment through x and y.  The swap
-    preserves commutativity on the whole domain but is not induced by any
-    unitary or anti-unitary operator."""
-    if x.dim != m_dim or y.dim != m_dim:
-        raise OrthoapartError(f"both eigenspaces must have dimension {m_dim}")
-    if not x.is_orthogonal_to(y):
-        raise OrthoapartError("the two eigenspaces must be orthogonal")
-    cls = ClassDescriptor(n, (Fraction(alpha), Fraction(beta)), (m_dim, m_dim))
-    frame = _frame_extending([x, y], n)
-    ap = Apartment(frame, cls)
-    a: List[Optional[int]] = [None] * n
-    b: List[Optional[int]] = [None] * n
-    for i in range(m_dim):
-        a[i], a[m_dim + i] = 0, 1
-        b[i], b[m_dim + i] = 1, 0
-    return _swap_transformation(ap, Labeling(tuple(a)), Labeling(tuple(b)))
+def example_comm_swap(cls: ClassDescriptor) -> FiniteTransformation:
+    """For a class alpha, beta of equal dimension d, transpose
+    A = alpha P_x + beta P_y and B = alpha P_y + beta P_x, where x and y
+    span the first d and the next d standard frame lines, and fix every
+    other member of the standard apartment.  The swap preserves
+    commutativity on the whole domain but is not induced by any unitary or
+    anti-unitary operator."""
+    if cls.m != 2 or cls.dims[0] != cls.dims[1]:
+        raise OrthoapartError(
+            "the commutativity counterexample needs two eigenvalues of equal dimension"
+        )
+    d = cls.dims[0]
+    return _swap_transformation(cls, [0] * d + [1] * d, [1] * d + [0] * d)
 
 
 # ---------------------------------------------------------------------------

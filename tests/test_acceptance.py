@@ -210,14 +210,11 @@ def test_acceptance_6_randomized_refinement(capsys):
 
 def test_acceptance_7_counterexample_transformations(capsys):
     cls = cls_of(4, (1, 1))
-    x = Subspace.coordinate(4, [0, 1])
-    t_orth = example_orth_swap(cls, x)
+    t_orth = example_orth_swap(cls)
     assert check_preservation(t_orth, "orthogonal")
     assert gram_obstruction(t_orth) is not None
 
-    t_comm = example_comm_swap(
-        4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
-    )
+    t_comm = example_comm_swap(cls)
     assert check_preservation(t_comm, "commute")
     witness = gram_obstruction(t_comm)
     assert witness is not None

@@ -125,7 +125,10 @@ def test_counterexample_materializes_no_operator(monkeypatch):
 
     monkeypatch.setattr(Labeling, "to_operator", boom)
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "orthoapart"]:
-        for name in ("materialize", "commutes", "orthogonal"):
+        for name in (
+            "materialize", "commutes", "orthogonal",
+            "split_into_lines", "span_sum", "projection_of", "orthogonal_columns",
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
     for name, dims in (("orth", (1, 2)), ("comm", (2, 2))):
@@ -157,7 +160,7 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 
 def test_cli_deterministic_reports(tmp_path):
-    args = ["verify-lemma4", "--n", "8", "--alphas", "1,2", "--dims", "1,1", "--seed", "5"]
+    args = ["verify-lemma4", "--n", "8", "--alphas", "1,2", "--dims", "1,1"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -173,12 +176,46 @@ def test_cli_config_error_exit_code(capsys):
          "eigenspace dimensions must be positive"),
         (["scan-boundary", "--n-range", "1:10", "--alphas", "1,2", "--dims", ","], "--dims"),
         (["verify-lemma3", "--n", "6", "--alphas", "1,2", "--dims", ","], "--dims"),
+        (["verify-lemma3", "--n", "6", "--alphas", ",", "--dims", "1,1"], "--alphas"),
+        # the swaps' preconditions on the class
+        (["counterexample", "comm", "--n", "4", "--alphas", "1,2", "--dims", "1,2"],
+         "two eigenvalues of equal dimension"),
+        (["counterexample", "comm", "--n", "4", "--alphas", "1,2,3", "--dims", "1,1,1"],
+         "two eigenvalues of equal dimension"),
+        (["counterexample", "orth", "--n", "4", "--alphas", "1", "--dims", "2"],
+         "single-eigenvalue class"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err, (argv, captured.err)
+
+
+# a valid argv of each subcommand, and the options it does not read
+VALID_ARGV = {
+    "verify-lemma3": ["--n", "6", "--alphas", "1,2", "--dims", "1,1"],
+    "verify-lemma4": ["--n", "8", "--alphas", "1,2", "--dims", "1,1"],
+    "scan-boundary": ["--alphas", "1,2", "--dims", "1,2", "--n-range", "7:8"],
+    "counterexample": ["orth", "--n", "4", "--alphas", "1,2", "--dims", "1,1"],
+    "refine": ["family.json"],
+    "inexact": ["members.json"],
+}
+UNREAD = [("verify-lemma3", "--seed"), ("verify-lemma4", "--seed"), ("scan-boundary", "--seed"),
+          ("counterexample", "--seed"), ("refine", "--seed"), ("inexact", "--seed"),
+          ("scan-boundary", "--frame"), ("counterexample", "--frame"), ("refine", "--frame"),
+          ("scan-boundary", "--n"), ("inexact", "--n"),
+          ("refine", "--alphas"), ("refine", "--dims"), ("inexact", "--alphas"), ("inexact", "--dims")]
+
+
+@pytest.mark.parametrize("command, option", UNREAD)
+def test_unread_options_are_rejected(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command] + VALID_ARGV[command] + [option, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
 
 
 def test_cli_refine_and_incompatible(tmp_path, capsys):

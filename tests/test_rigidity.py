@@ -37,10 +37,13 @@ from util import (
 )
 
 
+PAIR = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
+
+
 def test_orth_swap_basic():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     x = Subspace.coordinate(4, [0, 1])
-    t = example_orth_swap(cls, x)
+    t = example_orth_swap(cls)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     assert len(swapped) == 2
     a, b = (t.operator(s) for s in swapped)
@@ -53,7 +56,7 @@ def test_orth_swap_basic():
 def test_orth_swap_trace_values():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     x = Subspace.coordinate(4, [0, 1])
-    t = example_orth_swap(cls, x)
+    t = example_orth_swap(cls)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     a, b = (t.operator(s) for s in swapped)
     # bystander with image span(e1, e3): pairs 1 with A, 2 with B
@@ -70,13 +73,11 @@ def test_orth_swap_trace_values():
 def test_orth_swap_rejects_projection_class():
     cls = ClassDescriptor(4, (Fraction(1),), (2,))
     with pytest.raises(ProjectionClass):
-        example_orth_swap(cls, Subspace.coordinate(4, [0, 1]))
+        example_orth_swap(cls)
 
 
 def test_comm_swap_basic():
-    t = example_comm_swap(
-        4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
-    )
+    t = example_comm_swap(PAIR)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     a, b = (t.operator(s) for s in swapped)
     assert materialize(a) == Matrix.diagonal([1, 2, 0, 0])
@@ -88,9 +89,7 @@ def test_comm_swap_basic():
 
 
 def test_comm_swap_witness_values():
-    t = example_comm_swap(
-        4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
-    )
+    t = example_comm_swap(PAIR)
     # bystander C = 1*P_e1 + 2*P_e3 pairs differently with A and B
     mats = [materialize(t.operator(s)) for s in range(len(t.members))]
     c_idx = mats.index(Matrix.diagonal([1, 0, 2, 0]))
@@ -101,18 +100,14 @@ def test_comm_swap_witness_values():
 
 
 def test_comm_swap_validation():
-    with pytest.raises(OrthoapartError):
-        example_comm_swap(
-            4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [0, 1])
-        )
-    with pytest.raises(OrthoapartError):
-        example_comm_swap(4, 1, 2, 1, Subspace.coordinate(4, [0]), projection_of([[1, 1, 0, 0]]))
+    with pytest.raises(OrthoapartError, match="two eigenvalues of equal dimension"):
+        example_comm_swap(ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 2)))
+    with pytest.raises(OrthoapartError, match="two eigenvalues of equal dimension"):
+        example_comm_swap(ClassDescriptor(4, (Fraction(1), Fraction(2), Fraction(3)), (1, 1, 1)))
 
 
 def test_swap_is_involution():
-    t = example_comm_swap(
-        4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
-    )
+    t = example_comm_swap(PAIR)
     twice = [t.mapping[t.mapping[s]] for s in range(len(t.members))]
     assert twice == list(range(len(t.members)))
 
@@ -143,9 +138,7 @@ def test_gram_obstruction_silent_on_conjugations():
 
 
 def test_permutation_inducer_positive_and_negative():
-    t = example_comm_swap(
-        4, 1, 2, 1, Subspace.coordinate(4, [0]), Subspace.coordinate(4, [1])
-    )
+    t = example_comm_swap(PAIR)
     assert permutation_inducer(t) is None
 
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
@@ -181,7 +174,7 @@ def _certificate_cases():
                 if len(dims) < 2:
                     continue
                 cls = ClassDescriptor(n, ALPHAS[: len(dims)], dims)
-                swap = example_orth_swap(cls, Subspace.coordinate(n, range(k)))
+                swap = example_orth_swap(cls)
                 ap, members = swap.apartment, swap.members
                 yield swap
                 if len(members) <= 12:
@@ -191,11 +184,7 @@ def _certificate_cases():
                     keys = [m.assignment for m in members]
                     yield FiniteTransformation(ap, members, [keys.index(r) for r in rotated])
                 if len(dims) == 2 and dims[0] == dims[1]:
-                    d = dims[0]
-                    yield example_comm_swap(
-                        n, ALPHAS[0], ALPHAS[1], d,
-                        Subspace.coordinate(n, range(d)), Subspace.coordinate(n, range(d, 2 * d)),
-                    )
+                    yield example_comm_swap(cls)
     ap = standard_apartment(ClassDescriptor(4, ALPHAS[:2], (1, 1)))
     members = list(enumerate_members(ap))
     for a, b in combinations(range(len(members)), 2):
