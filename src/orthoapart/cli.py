@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import serialize
 from .apartments import (
@@ -319,23 +319,29 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is registered, but only the one
+    argv names gets its arguments: the top level takes no option but -h, so
+    its first token that is not an option is the subcommand."""
     parser = argparse.ArgumentParser(
         prog="orthoapart",
         description="Exact verification toolkit for orthogonal apartments of "
         "conjugacy classes of finite-rank self-adjoint operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
     for command, names in COMMANDS.items():
         # no prefix matching: scan-boundary --n must not read as --n-range
         p = sub.add_parser(command, allow_abbrev=False)
-        for name in names + ("--out",):
-            p.add_argument(name, **ARGUMENTS[name])
+        if command == named:
+            for name in names + ("--out",):
+                p.add_argument(name, **ARGUMENTS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "verify-lemma3":
             report = cmd_verify_lemma3(_class_from_args(args), args.frame)

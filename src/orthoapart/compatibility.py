@@ -13,24 +13,22 @@ zero nor P_Y, and finally split each block into orthogonal lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
+from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, Value
 from .subspaces import Subspace, orthogonal_columns
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Value):
     """n mutually orthogonal lines spanning C^n: an orthonormal basis
     recorded up to scalar multiples."""
 
-    ambient_dim: int
-    lines: Tuple[Subspace, ...]
+    __slots__ = ("ambient_dim", "lines")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-        n = self.ambient_dim
+    def __init__(self, ambient_dim: int, lines: Tuple[Subspace, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "lines", tuple(lines))
+        n = ambient_dim
         if len(self.lines) != n:
             raise OrthoapartError(f"a frame in dimension {n} needs exactly {n} lines")
         for line in self.lines:

@@ -1,4 +1,38 @@
-"""Exception hierarchy for the orthoapart package."""
+"""Exception hierarchy for the orthoapart package, and the base of its
+immutable value classes."""
+
+
+class Value:
+    """An immutable value.  A subclass lists its fields in __slots__ and sets
+    them in __init__ through object.__setattr__.  Equality and hashing go by
+    the field tuple, repr is Name(field=value, ...), and assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
 
 
 class OrthoapartError(Exception):

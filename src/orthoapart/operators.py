@@ -9,27 +9,24 @@ eigenspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DimensionMismatch, OrthoapartError
+from .errors import DimensionMismatch, OrthoapartError, Value
 from .matrices import Matrix, real_fraction
 from .compatibility import is_compatible
 from .subspaces import Subspace
 
 
-@dataclass(frozen=True)
-class ClassDescriptor:
+class ClassDescriptor(Value):
     """A conjugacy class: ambient dimension, eigenvalues, eigenspace dims."""
 
-    n: int
-    alphas: Tuple[Fraction, ...]
-    dims: Tuple[int, ...]
+    __slots__ = ("n", "alphas", "dims")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+    def __init__(self, n: int, alphas: Tuple[Fraction, ...], dims: Tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in alphas))
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if len(self.alphas) != len(self.dims):
             raise OrthoapartError("alphas and dims must have equal length")
         if len(set(self.alphas)) != len(self.alphas):
@@ -60,17 +57,12 @@ class ClassDescriptor:
         return len(set(self.dims)) == len(self.dims)
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
-    cls: ClassDescriptor
-    eigenspaces: Tuple[Tuple[Fraction, Subspace], ...]
+class SpectralOperator(Value):
+    __slots__ = ("cls", "eigenspaces")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "eigenspaces",
-            tuple((Fraction(a), x) for a, x in self.eigenspaces),
-        )
+    def __init__(self, cls: ClassDescriptor, eigenspaces: Tuple[Tuple[Fraction, Subspace], ...]):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "eigenspaces", tuple((Fraction(a), x) for a, x in eigenspaces))
         c = self.cls
         if len(self.eigenspaces) != c.m:
             raise OrthoapartError("one eigenspace per eigenvalue required")

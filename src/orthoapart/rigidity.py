@@ -16,7 +16,6 @@ over the frame lines i that both label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,24 +33,25 @@ from .errors import (
     NotAnEigenline,
     OrthoapartError,
     ProjectionClass,
+    Value,
 )
 from .matrices import Matrix
 from .operators import ClassDescriptor, SpectralOperator, image_of
 from .subspaces import Subspace, span_sum
 
 
-@dataclass(frozen=True)
-class FiniteTransformation:
+class FiniteTransformation(Value):
     """A bijection of members of one apartment, given as a permutation of
     member indices: member s goes to member mapping[s]."""
 
-    apartment: Apartment
-    members: Tuple[Labeling, ...]
-    mapping: Tuple[int, ...]
+    __slots__ = ("apartment", "members", "mapping")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+    def __init__(
+        self, apartment: Apartment, members: Tuple[Labeling, ...], mapping: Tuple[int, ...]
+    ):
+        object.__setattr__(self, "apartment", apartment)
+        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "mapping", tuple(mapping))
         if sorted(self.mapping) != list(range(len(self.members))):
             raise OrthoapartError("mapping is not a permutation of the members")
         for m in self.members:
@@ -62,15 +62,17 @@ class FiniteTransformation:
         return self.members[s].to_operator(self.apartment)
 
 
-@dataclass(frozen=True)
-class GramWitness:
+class GramWitness(Value):
     """A member pair whose trace pairing changes under the transformation,
     proving no unitary or anti-unitary conjugation induces it."""
 
-    s: int
-    t: int
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("s", "t", "lhs", "rhs")
+
+    def __init__(self, s: int, t: int, lhs: Fraction, rhs: Fraction):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ ignored, trailing ``i`` marks the imaginary term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import Value
 
 Rational = Union[int, Fraction]
 
@@ -30,14 +31,12 @@ def _make(re: Fraction, im: Fraction) -> "GaussianRational":
     return z
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+class GaussianRational(Value):
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Rational = _FZERO, im: Rational = _FZERO):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
     # -- field operations -------------------------------------------------
 

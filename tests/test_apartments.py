@@ -33,6 +33,7 @@ from orthoapart import (
     verify_maximal_inexact,
 )
 from orthoapart.apartments import (
+    MAX_TRANSFER_STATES,
     _member_assignments,
     image_overlap,
     labelings_orthogonal,
@@ -316,6 +317,18 @@ def test_pair_cells_match_member_tables():
                 assert pair_cells(cls) == want, cls
                 classes += 1
     assert classes == 480
+
+
+def test_pair_cells_bound_their_states():
+    # the state count prod(d + 1) decides, whatever n is: 1^10 is at the
+    # limit and runs, 1^11 and (31, 32) are over it and are refused at once
+    assert 2 ** 10 == MAX_TRANSFER_STATES
+    cls = cls_of(21, (1,) * 10)
+    members = math.perm(21, 10)
+    assert sum(w for w, _ in pair_cells(cls).values()) == members - 1
+    for n, dims, states in ((23, (1,) * 11, 2048), (10 ** 6, (31, 32), 1056)):
+        with pytest.raises(OrthoapartError, match=f"need {states} transfer states"):
+            pair_cells(cls_of(n, dims))
 
 
 def test_rotated_frame_cross_validation():

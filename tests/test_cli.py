@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from orthoapart import cli, serialize
 from orthoapart.apartments import (
+    MAX_TRANSFER_STATES,
     Labeling,
     PairIndex,
     pair_cells,
@@ -325,6 +327,46 @@ def test_refine_reports_match_parent_golden(tmp_path, capsys):
         assert got == case["out"], case["name"]
 
 
+USAGE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_usage_golden.json")
+
+
+def test_cli_surface_matches_parent_golden(tmp_path):
+    """Usage, help and argparse errors, and one valid run per subcommand,
+    recorded from `python -m orthoapart.cli` before the parser was built per
+    call.  Each case runs in a fresh process, so main(None) reads sys.argv,
+    with the golden's input files in its working directory; the exit code,
+    both streams and any --out report must match byte for byte."""
+    with open(USAGE_GOLDEN) as fh:
+        golden = json.load(fh)
+    for name, body in golden["files"].items():
+        (tmp_path / name).write_text(json.dumps(body))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    report = tmp_path / "report.json"
+    for case in golden["cases"]:
+        if report.exists():
+            report.unlink()
+        proc = subprocess.run([sys.executable, "-m", "orthoapart.cli", *case["args"]],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        got = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+               "report": report.read_text() if report.exists() else None}
+        assert got == {key: case[key] for key in got}, case["name"]
+
+
+def test_cli_import_is_lean():
+    """A fresh interpreter importing the CLI loads none of the introspection
+    modules that dataclasses pulls in; what site already loaded is not
+    counted."""
+    code = ("import json, sys; before = set(sys.modules); import orthoapart.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "orthoapart.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 # ---------------------------------------------------------------------------
 # the one-row label scan against the exhaustive pair walk
 
@@ -424,6 +466,23 @@ def test_scan_boundary_on_wide_partitions(capsys):
                    for count, f in hist if count == 64)
         assert entry["nonorthogonal_pairs_with_k_squared"] == hits
         assert (entry["first_such_pair"] is None) == (hits == 0)
+
+
+SIXTEEN = ["--alphas", ",".join(str(a) for a in range(1, 17)), "--dims", ",".join(["1"] * 16)]
+
+
+@pytest.mark.parametrize("argv", [["verify-lemma3", "--n", "33"], ["verify-lemma4", "--n", "64"],
+                                  ["scan-boundary", "--n-range", "33:63"]])
+def test_label_commands_refuse_too_many_transfer_states(argv, capsys):
+    # sixteen one-dimensional slots need 2^16 states per row, over the limit;
+    # the commands say so before the transfer starts
+    start = time.perf_counter()
+    assert main(argv + SIXTEEN) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"65536 transfer states (the product of d + 1), over the limit {MAX_TRANSFER_STATES}" \
+        in captured.err
 
 
 def assert_listed_by_cell(cls, got, bad_pairs):

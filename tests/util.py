@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -20,6 +21,7 @@ from orthoapart import (
     Frame,
     Labeling,
     Matrix,
+    PairIndex,
     SpectralOperator,
     Subspace,
     commutes,
@@ -761,3 +763,140 @@ def oracle_split_into_lines(block: Subspace) -> List[Subspace]:
             v = tuple(a - c * b for a, b in zip(v, u))
         out.append(v)
     return [projection_of([u], ambient_dim=block.ambient_dim) for u in out]
+
+
+# ---------------------------------------------------------------------------
+# frozen-dataclass twins of the value classes: oracles for the generated
+# methods (==, hash, repr, frozenness, the constructor's signature) and for
+# the normalizing part of each class's construction.  Validation is tested
+# on the classes themselves.
+
+def _named_as(model: type):
+    """Give a twin its model's name, so that the two reprs compare equal."""
+
+    def rename(twin: type) -> type:
+        twin.__name__ = twin.__qualname__ = model.__name__
+        return twin
+
+    return rename
+
+
+@_named_as(GaussianRational)
+@dataclass(frozen=True)
+class GaussianRationalTwin:
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "re", Fraction(self.re))
+        object.__setattr__(self, "im", Fraction(self.im))
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRationalTwin):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+@_named_as(ClassDescriptor)
+@dataclass(frozen=True)
+class ClassDescriptorTwin:
+    n: int
+    alphas: Tuple[Fraction, ...]
+    dims: Tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+
+
+@_named_as(SpectralOperator)
+@dataclass(frozen=True)
+class SpectralOperatorTwin:
+    cls: ClassDescriptor
+    eigenspaces: Tuple[Tuple[Fraction, Subspace], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenspaces", tuple((Fraction(a), x) for a, x in self.eigenspaces))
+
+
+@_named_as(Frame)
+@dataclass(frozen=True)
+class FrameTwin:
+    ambient_dim: int
+    lines: Tuple[Subspace, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "lines", tuple(self.lines))
+
+
+@_named_as(Apartment)
+@dataclass(frozen=True)
+class ApartmentTwin:
+    frame: Frame
+    cls: ClassDescriptor
+
+
+@_named_as(PairIndex)
+@dataclass(frozen=True)
+class PairIndexTwin:
+    i: int
+    j: int
+
+    def __post_init__(self):
+        if self.i > self.j:
+            i, j = self.j, self.i
+            object.__setattr__(self, "i", i)
+            object.__setattr__(self, "j", j)
+
+
+@_named_as(Labeling)
+@dataclass(frozen=True)
+class LabelingTwin:
+    assignment: Tuple[Slot, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment", tuple(self.assignment))
+
+
+@_named_as(FiniteTransformation)
+@dataclass(frozen=True)
+class FiniteTransformationTwin:
+    apartment: Apartment
+    members: Tuple[Labeling, ...]
+    mapping: Tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "mapping", tuple(self.mapping))
+
+
+@_named_as(GramWitness)
+@dataclass(frozen=True)
+class GramWitnessTwin:
+    s: int
+    t: int
+    lhs: Fraction
+    rhs: Fraction
+
+
+TWINS = {
+    GaussianRational: GaussianRationalTwin,
+    ClassDescriptor: ClassDescriptorTwin,
+    SpectralOperator: SpectralOperatorTwin,
+    Frame: FrameTwin,
+    Apartment: ApartmentTwin,
+    PairIndex: PairIndexTwin,
+    Labeling: LabelingTwin,
+    FiniteTransformation: FiniteTransformationTwin,
+    GramWitness: GramWitnessTwin,
+}
