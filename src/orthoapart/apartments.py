@@ -9,6 +9,10 @@ predicates are label comparisons, so counting is exact by construction, and
 a scan of all member pairs reads member 0's (overlap, count) cells
 (pair_cells), computed by a transfer over its rows whose states do not grow
 with n.
+
+Labels, counts and pairings are the same in every apartment of a class, so
+only the functions that read frame lines (Labeling.to_operator, compute_S,
+rotated_frame, membership_labeling) take an Apartment; the rest take the class.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation, Value
-from .operators import ClassDescriptor, SpectralOperator
+from .operators import ClassDescriptor, SpectralOperator, image_of
 from .subspaces import Subspace, projection_of
 
 Slot = Optional[int]
@@ -40,14 +44,6 @@ class Apartment(Value):
         object.__setattr__(self, "cls", cls)
         if frame.ambient_dim != cls.n:
             raise OrthoapartError("frame and class live in different dimensions")
-
-    @property
-    def n(self) -> int:
-        return self.cls.n
-
-    @property
-    def k(self) -> int:
-        return self.cls.rank
 
 
 def standard_apartment(cls: ClassDescriptor) -> Apartment:
@@ -84,8 +80,11 @@ class Labeling(Value):
         if len(a) != cls.n:
             raise NotAMember(f"labeling length {len(a)} in an apartment of dimension {cls.n}")
         for t, d in enumerate(cls.dims):
-            if sum(1 for s in a if s == t) != d:
+            if a.count(t) != d:
                 raise NotAMember(f"slot {t} does not receive exactly {d} frame lines")
+        if a.count(None) != cls.n - cls.rank:  # so some entry is neither a slot nor None
+            i = next(i for i, s in enumerate(a) if s is not None and s not in range(cls.m))
+            raise NotAMember(f"frame line {i} has label {a[i]!r}, neither a slot nor None")
 
     def to_operator(self, ap: Apartment) -> SpectralOperator:
         """The spectral operator whose eigenspace for slot t is the sum of
@@ -105,9 +104,9 @@ class Labeling(Value):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def member_count(ap: Apartment) -> int:
-    """n! / (d_1! ... d_m! (n-k)!), the number of apartment members."""
-    return _multinomial(ap.cls.dims + (ap.n - ap.k,))
+def member_count(cls: ClassDescriptor) -> int:
+    """n! / (d_1! ... d_m! (n-k)!), the members of an apartment of the class."""
+    return _multinomial(cls.dims + (cls.n - cls.rank,))
 
 
 def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
@@ -135,10 +134,10 @@ def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
     return results
 
 
-def enumerate_members(ap: Apartment) -> Iterator[Labeling]:
-    """All members, each exactly once, in lexicographic order of the
-    assignment tuple (slots before None at every position)."""
-    for a in _member_assignments(ap.cls):
+def enumerate_members(cls: ClassDescriptor) -> Iterator[Labeling]:
+    """All members of an apartment of the class, each exactly once, in
+    lexicographic order of the assignment tuple (slots before None)."""
+    for a in _member_assignments(cls):
         yield Labeling(a)
 
 
@@ -217,10 +216,10 @@ def trace_pairing(a: Labeling, b: Labeling, cls: ClassDescriptor) -> Fraction:
     )
 
 
-def n_count(a: Labeling, b: Labeling, ap: Apartment) -> int:
+def n_count(a: Labeling, b: Labeling, cls: ClassDescriptor) -> int:
     """The number of orthocomplementary subsets C_ij containing both members."""
-    a.validate(ap.cls)
-    b.validate(ap.cls)
+    a.validate(cls)
+    b.validate(cls)
     return (_pair_mask(a.assignment) & _pair_mask(b.assignment)).bit_count()
 
 
@@ -349,15 +348,16 @@ def compute_S(i: int, members: Sequence[Labeling], ap: Apartment) -> Subspace:
     member containing line i with every image-orthocomplement of a member
     whose image misses line i.  Spanned by frame lines; contains line i;
     the full space for an empty member set."""
-    if not 0 <= i < ap.n:
+    n = ap.cls.n
+    if not 0 <= i < n:
         raise OrthoapartError(f"frame index {i} out of range")
     for a in members:
         a.validate(ap.cls)
-    support = _support_indices(i, members, ap.n)
+    support = _support_indices(i, members, n)
     vecs = []
     for j in sorted(support):
         vecs.append(ap.frame.lines[j].line_vector())
-    return projection_of(vecs, ambient_dim=ap.n)
+    return projection_of(vecs, ambient_dim=n)
 
 
 def is_orthogonally_inexact(
@@ -383,40 +383,40 @@ def is_orthogonally_inexact(
     return False, None
 
 
-def type_one_subset(p: PairIndex, ap: Apartment) -> List[Labeling]:
+def type_one_subset(p: PairIndex, cls: ClassDescriptor) -> List[Labeling]:
     """The maximal orthogonally inexact set A(+i,+j) union A(-i,-j)."""
     return [
         a
-        for a in enumerate_members(ap)
+        for a in enumerate_members(cls)
         if in_plus_plus(a, p) or in_minus_minus(a, p)
     ]
 
 
-def verify_maximal_inexact(p: PairIndex, ap: Apartment) -> bool:
+def verify_maximal_inexact(p: PairIndex, cls: ClassDescriptor) -> bool:
     """Check that the type-(1) set at pair p is orthogonally inexact and
     that every single-member extension is exact.  Exhaustive."""
-    base = type_one_subset(p, ap)
-    inexact, _ = is_orthogonally_inexact(base, ap.cls)
+    base = type_one_subset(p, cls)
+    inexact, _ = is_orthogonally_inexact(base, cls)
     if not inexact:
         return False
     base_keys = {a.assignment for a in base}
-    for a in enumerate_members(ap):
+    for a in enumerate_members(cls):
         if a.assignment in base_keys:
             continue
-        extended, _ = is_orthogonally_inexact(base + [a], ap.cls)
+        extended, _ = is_orthogonally_inexact(base + [a], cls)
         if extended:
             return False
     return True
 
 
-def decide_orthogonality_by_count(a: Labeling, b: Labeling, ap: Apartment) -> bool:
+def decide_orthogonality_by_count(a: Labeling, b: Labeling, cls: ClassDescriptor) -> bool:
     """Orthogonality via counting: n_count == k^2.  Only valid for n >= 4k."""
-    k = ap.k
-    if ap.n < 4 * k:
+    k = cls.rank
+    if cls.n < 4 * k:
         raise ThresholdViolation(
-            f"counting characterization needs n >= 4k (n={ap.n}, k={k})"
+            f"counting characterization needs n >= 4k (n={cls.n}, k={k})"
         )
-    return n_count(a, b, ap) == k * k
+    return n_count(a, b, cls) == k * k
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +449,10 @@ def rotated_frame(ap: Apartment, p: PairIndex) -> Frame:
     plus = tuple(a + b for a, b in zip(ui, uj))
     minus = tuple(a - b for a, b in zip(ui, uj))
     lines = list(ap.frame.lines)
-    lines[p.i] = projection_of([plus], ambient_dim=ap.n)
-    lines[p.j] = projection_of([minus], ambient_dim=ap.n)
-    return Frame(ap.n, tuple(lines))
+    n = ap.cls.n
+    lines[p.i] = projection_of([plus], ambient_dim=n)
+    lines[p.j] = projection_of([minus], ambient_dim=n)
+    return Frame(n, tuple(lines))
 
 
 def membership_labeling(ap: Apartment, op: SpectralOperator) -> Labeling:
@@ -470,8 +471,6 @@ def membership_labeling(ap: Apartment, op: SpectralOperator) -> Labeling:
                 break
         if slot is None:
             # the line must then lie in the kernel (orthogonal to the image)
-            from .operators import image_of
-
             if kernel_ok is None:
                 kernel_ok = image_of(op).perp()
             if not kernel_ok.contains(line):

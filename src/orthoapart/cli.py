@@ -21,6 +21,7 @@ from .apartments import (
     c_eval,
     is_orthogonally_inexact,
     lemma3_bound,
+    member_count,
     pair_cells,
 )
 from .compatibility import refine_to_frame
@@ -90,7 +91,7 @@ def cmd_verify_lemma3(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
         raise OrthoapartError(f"need n > 2k (n={n}, k={k})")
     _check_frame(cls, frame_path)
     cells = pair_cells(cls)
-    members = 1 + sum(w for w, _ in cells.values())
+    members = member_count(cls)
     histogram: dict = {}
     for (m, count), (w, _) in cells.items():
         histogram.setdefault(m, {})[count] = w
@@ -124,7 +125,7 @@ def cmd_verify_lemma4(cls: ClassDescriptor, frame_path: Optional[str] = None) ->
         raise ThresholdViolation(f"lemma requires n >= 4k (n={n}, k={k})")
     _check_frame(cls, frame_path)
     cells = pair_cells(cls)
-    members = 1 + sum(w for w, _ in cells.values())
+    members = member_count(cls)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-lemma4",
@@ -157,7 +158,7 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
         m_star = Fraction(4 * k - n, 2)
         integral = m_star.denominator == 1 and 0 < m_star < k
         cells = pair_cells(cls)
-        members = 1 + sum(w for w, _ in cells.values())
+        members = member_count(cls)
         hits = [(w, first) for (m, count), (w, first) in cells.items() if m != 0 and count == k * k]
         entries.append({
             "n": n,
@@ -282,6 +283,13 @@ def _class_from_args(args) -> ClassDescriptor:
     return ClassDescriptor(args.n, _parse_alphas(args.alphas), _parse_dims(args.dims))
 
 
+def _scan_boundary_from_args(args) -> dict:
+    n_range = _parse_n_range(args.n_range)
+    if args.alphas is None or args.dims is None:
+        raise OrthoapartError("--alphas and --dims are required")
+    return cmd_scan_boundary(_parse_dims(args.dims), _parse_alphas(args.alphas), n_range)
+
+
 def _emit(report: dict, args) -> int:
     violations = report.get("violations", [])
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -309,13 +317,17 @@ ARGUMENTS = {
     "--n-range": dict(required=True, help="inclusive range lo:hi of ambient dimensions"),
     "--out": dict(help="write the JSON report here"),
 }
+# subcommand -> (the arguments it takes, the function building its report)
 COMMANDS = {
-    "verify-lemma3": ("--n", "--alphas", "--dims", "--frame"),
-    "verify-lemma4": ("--n", "--alphas", "--dims", "--frame"),
-    "scan-boundary": ("--alphas", "--dims", "--n-range"),
-    "counterexample": ("name", "--n", "--alphas", "--dims"),
-    "refine": ("family", "--n"),
-    "inexact": ("members", "--frame"),
+    "verify-lemma3": (("--n", "--alphas", "--dims", "--frame"),
+                      lambda args: cmd_verify_lemma3(_class_from_args(args), args.frame)),
+    "verify-lemma4": (("--n", "--alphas", "--dims", "--frame"),
+                      lambda args: cmd_verify_lemma4(_class_from_args(args), args.frame)),
+    "scan-boundary": (("--alphas", "--dims", "--n-range"), _scan_boundary_from_args),
+    "counterexample": (("name", "--n", "--alphas", "--dims"),
+                       lambda args: cmd_counterexample(args.name, _class_from_args(args))),
+    "refine": (("family", "--n"), lambda args: cmd_refine(args.family, n=args.n)),
+    "inexact": (("members", "--frame"), lambda args: cmd_inexact(args.members, args.frame)),
 }
 
 
@@ -330,7 +342,7 @@ def build_parser(argv: List[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((a for a in argv if not a.startswith("-")), None)
-    for command, names in COMMANDS.items():
+    for command, (names, _) in COMMANDS.items():
         # no prefix matching: scan-boundary --n must not read as --n-range
         p = sub.add_parser(command, allow_abbrev=False)
         if command == named:
@@ -343,23 +355,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        if args.command == "verify-lemma3":
-            report = cmd_verify_lemma3(_class_from_args(args), args.frame)
-        elif args.command == "verify-lemma4":
-            report = cmd_verify_lemma4(_class_from_args(args), args.frame)
-        elif args.command == "scan-boundary":
-            lo, hi = _parse_n_range(args.n_range)
-            if args.alphas is None or args.dims is None:
-                raise OrthoapartError("--alphas and --dims are required")
-            report = cmd_scan_boundary(_parse_dims(args.dims), _parse_alphas(args.alphas), (lo, hi))
-        elif args.command == "counterexample":
-            report = cmd_counterexample(args.name, _class_from_args(args))
-        elif args.command == "refine":
-            report = cmd_refine(args.family, n=args.n)
-        elif args.command == "inexact":
-            report = cmd_inexact(args.members, args.frame)
-        else:  # pragma: no cover
-            raise OrthoapartError(f"unknown command {args.command}")
+        report = COMMANDS[args.command][1](args)
     except IncompatibleFamily as exc:
         print(f"incompatible family: pair {exc.pair}", file=sys.stderr)
         sys.stdout.write(

@@ -4,8 +4,8 @@ Two generators produce finite relation-preserving swaps that no unitary or
 anti-unitary conjugation can induce: the image-swap (two distinct operators
 sharing one image, everything else fixed) and the eigenvalue-swap for a
 class with two equal-dimensional eigenspaces.  Each swap is built from the
-class alone and permutes the members of its standard apartment, the one
-on the coordinate frame.  Non-inducibility is certified through the trace
+class alone and permutes the members of an apartment, read as operators on
+the coordinate frame.  Non-inducibility is certified through the trace
 pairing tr(AB), which any unitary or anti-unitary conjugation preserves.
 
 The certificate is decided on labels, with no operator materialized:
@@ -16,15 +16,15 @@ over the frame lines i that both label.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .apartments import (
-    Apartment,
     Labeling,
     enumerate_members,
     labelings_orthogonal,
-    standard_apartment,
+    member_count,
     trace_pairing,
 )
 from .compatibility import split_into_lines
@@ -39,27 +39,28 @@ from .matrices import Matrix
 from .operators import ClassDescriptor, SpectralOperator, image_of
 from .subspaces import Subspace, span_sum
 
+# The certificate walks every member pair of a swap's domain.  At the limit
+# the slowest shape measured, dims (1, 1) at n = 45, takes about 5 s end to
+# end (2-vCPU Xeon, Python 3.11).
+MAX_DOMAIN_PAIRS = 2_000_000
+
 
 class FiniteTransformation(Value):
-    """A bijection of members of one apartment, given as a permutation of
-    member indices: member s goes to member mapping[s]."""
+    """A bijection of members of one apartment of the class, given as a
+    permutation of member indices: member s goes to member mapping[s]."""
 
-    __slots__ = ("apartment", "members", "mapping")
+    __slots__ = ("cls", "members", "mapping")
 
     def __init__(
-        self, apartment: Apartment, members: Tuple[Labeling, ...], mapping: Tuple[int, ...]
+        self, cls: ClassDescriptor, members: Tuple[Labeling, ...], mapping: Tuple[int, ...]
     ):
-        object.__setattr__(self, "apartment", apartment)
+        object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "mapping", tuple(mapping))
         if sorted(self.mapping) != list(range(len(self.members))):
             raise OrthoapartError("mapping is not a permutation of the members")
         for m in self.members:
-            m.validate(self.apartment.cls)
-
-    def operator(self, s: int) -> SpectralOperator:
-        """Member s as a spectral operator, materialized on demand."""
-        return self.members[s].to_operator(self.apartment)
+            m.validate(cls)
 
 
 class GramWitness(Value):
@@ -81,16 +82,19 @@ class GramWitness(Value):
 def _swap_transformation(
     cls: ClassDescriptor, a: List[Optional[int]], b: List[Optional[int]]
 ) -> FiniteTransformation:
-    """All members of the standard apartment as bystanders, with the
-    labelings a and b of its first frame lines transposed."""
-    ap = standard_apartment(cls)
+    """All members of an apartment as bystanders, with the labelings a and
+    b of its first frame lines transposed.  A domain of more member pairs
+    than MAX_DOMAIN_PAIRS is refused before it is enumerated."""
+    pairs = math.comb(member_count(cls), 2)
+    if pairs > MAX_DOMAIN_PAIRS:
+        raise OrthoapartError(f"the domain has {pairs} member pairs, over the limit {MAX_DOMAIN_PAIRS}")
     rest = [None] * (cls.n - len(a))
     a, b = Labeling(tuple(a + rest)), Labeling(tuple(b + rest))
-    members = tuple(enumerate_members(ap))
+    members = tuple(enumerate_members(cls))
     ia, ib = members.index(a), members.index(b)
     mapping = list(range(len(members)))
     mapping[ia], mapping[ib] = ib, ia
-    return FiniteTransformation(ap, members, tuple(mapping))
+    return FiniteTransformation(cls, members, tuple(mapping))
 
 
 def example_orth_swap(cls: ClassDescriptor) -> FiniteTransformation:
@@ -147,7 +151,7 @@ def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     None.  A witness rules out every unitary and anti-unitary inducer, both
     of which preserve the real trace pairing of self-adjoint operators.
     The pairing is read off the labels (see trace_pairing)."""
-    d, cls = t.members, t.apartment.cls
+    d, cls = t.members, t.cls
     fd = [d[i] for i in t.mapping]
     for s in range(len(d)):
         for u in range(s + 1, len(d)):

@@ -74,14 +74,14 @@ def test_acceptance_1_orthogonal_pairs_hit_k_squared(capsys):
     # n = 12, eigenvalue multiplicities (1, 2), k = 3: every orthogonal
     # member pair has exactly k^2 = 9 shared orthocomplementary pair sets
     started = time.monotonic()
-    ap = standard_apartment(cls_of(12, (1, 2)))
-    members = list(enumerate_members(ap))
+    cls = cls_of(12, (1, 2))
+    members = list(enumerate_members(cls))
     assert len(members) == 660
     orthogonal_pairs = 0
     for a, b in all_pairs(members):
         if labelings_orthogonal(a, b):
             orthogonal_pairs += 1
-            assert n_count(a, b, ap) == 9
+            assert n_count(a, b, cls) == 9
     elapsed = time.monotonic() - started
     assert orthogonal_pairs > 0
     assert elapsed < 60.0
@@ -100,11 +100,11 @@ def test_acceptance_2_count_bound_all_small_classes(capsys):
     for n in (8, 10, 12):
         for dims in dims_list:
             k = sum(dims)
-            ap = standard_apartment(cls_of(n, dims))
-            members = list(enumerate_members(ap))
+            cls = cls_of(n, dims)
+            members = list(enumerate_members(cls))
             for a, b in all_pairs(members):
                 m = image_overlap(a, b)
-                assert n_count(a, b, ap) >= lemma3_bound(k, m, n)
+                assert n_count(a, b, cls) >= lemma3_bound(k, m, n)
                 checked += 1
     report(
         capsys,
@@ -119,9 +119,9 @@ def test_acceptance_3_count_decides_orthogonality(capsys):
     total = 0
     for n, dims in [(8, (1, 1)), (8, (2,)), (12, (1, 2))]:
         ap = standard_apartment(cls_of(n, dims))
-        members = list(enumerate_members(ap))
+        members = list(enumerate_members(ap.cls))
         for a, b in all_pairs(members):
-            assert decide_orthogonality_by_count(a, b, ap) == labelings_orthogonal(a, b)
+            assert decide_orthogonality_by_count(a, b, ap.cls) == labelings_orthogonal(a, b)
             total += 1
         # spot-check that the label-level predicate matches the operator level
         rng = random.Random(n)
@@ -162,11 +162,11 @@ def test_acceptance_5_type_one_sets_maximally_inexact(capsys):
     # n = 8, k = 2, multiplicities (1, 1): for every index pair the
     # two-sided set is orthogonally inexact and every single-member
     # extension is exact
-    ap = standard_apartment(cls_of(8, (1, 1)))
+    cls = cls_of(8, (1, 1))
     pairs = [PairIndex(i, j) for i in range(8) for j in range(i + 1, 8)]
     assert len(pairs) == 28
     for p in pairs:
-        assert verify_maximal_inexact(p, ap)
+        assert verify_maximal_inexact(p, cls)
     report(
         capsys,
         "ACCEPTANCE 5: PASS — all 28 index pairs at n=8, k=2 give maximally "

@@ -39,6 +39,7 @@ from orthoapart.apartments import (
     labelings_orthogonal,
     pair_cells,
 )
+from orthoapart.compatibility import Frame
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
 from orthoapart.subspaces import Subspace
 
@@ -61,9 +62,9 @@ def cls_of(n, dims, alphas=None):
 
 def test_member_count_matches_enumeration():
     for n, dims in [(4, (1, 1)), (4, (2,)), (5, (1, 2)), (3, (3,)), (6, (1, 1, 1))]:
-        ap = standard_apartment(cls_of(n, dims))
-        members = list(enumerate_members(ap))
-        assert len(members) == member_count(ap)
+        cls = cls_of(n, dims)
+        members = list(enumerate_members(cls))
+        assert len(members) == member_count(cls)
         assert len({m.assignment for m in members}) == len(members)
 
 
@@ -79,15 +80,15 @@ def test_member_order_matches_sorted_oracle():
 
 
 def test_member_count_examples():
-    assert member_count(standard_apartment(cls_of(4, (1, 1)))) == 12
-    assert member_count(standard_apartment(cls_of(4, (2,)))) == 6
-    assert member_count(standard_apartment(cls_of(3, (3,)))) == 1
+    assert member_count(cls_of(4, (1, 1))) == 12
+    assert member_count(cls_of(4, (2,))) == 6
+    assert member_count(cls_of(3, (3,))) == 1
 
 
 def test_enumeration_order_deterministic():
-    ap = standard_apartment(cls_of(4, (1, 1)))
-    first = [m.assignment for m in enumerate_members(ap)]
-    second = [m.assignment for m in enumerate_members(ap)]
+    cls = cls_of(4, (1, 1))
+    first = [m.assignment for m in enumerate_members(cls)]
+    second = [m.assignment for m in enumerate_members(cls)]
     assert first == second
     key = [tuple(2 if s is None else s for s in a) for a in first]
     assert key == sorted(key)
@@ -95,7 +96,7 @@ def test_enumeration_order_deterministic():
 
 def test_all_members_commute():
     ap = standard_apartment(cls_of(4, (1, 1)))
-    ops = [m.to_operator(ap) for m in enumerate_members(ap)]
+    ops = [m.to_operator(ap) for m in enumerate_members(ap.cls)]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             assert commutes(ops[i], ops[j])
@@ -107,6 +108,11 @@ def test_labeling_validation():
         Labeling((0, 0, None, None)).validate(ap.cls)
     with pytest.raises(NotAMember):
         Labeling((0, 1, None)).validate(ap.cls)
+    # every entry is a slot of the class (0 <= s < m) or None
+    Labeling((0, 1, None, None)).validate(ap.cls)
+    for bad in (7, -1, ap.cls.m):
+        with pytest.raises(NotAMember, match=f"frame line 2 has label {bad}"):
+            Labeling((0, 1, bad, None)).validate(ap.cls)
 
 
 def test_predicates():
@@ -133,8 +139,8 @@ def test_predicates():
 
 
 def test_orthocomplementary_two_formulations():
-    ap = standard_apartment(cls_of(5, (1, 2)))
-    for a in enumerate_members(ap):
+    cls = cls_of(5, (1, 2))
+    for a in enumerate_members(cls):
         for i in range(5):
             for j in range(i + 1, 5):
                 p = PairIndex(i, j)
@@ -145,8 +151,8 @@ def test_orthocomplementary_two_formulations():
 
 def test_projection_class_cross_pair_empty():
     # for a projection class, A(+i,-j) and A(+j,-i) never intersect
-    ap = standard_apartment(cls_of(5, (2,), (Fraction(1),)))
-    for a in enumerate_members(ap):
+    cls = cls_of(5, (2,), (Fraction(1),))
+    for a in enumerate_members(cls):
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not (in_plus_minus(a, i, j) and in_plus_minus(a, j, i))
@@ -154,11 +160,11 @@ def test_projection_class_cross_pair_empty():
 
 def test_n_count_against_subspace_oracle():
     ap = standard_apartment(cls_of(6, (1, 2)))
-    members = list(enumerate_members(ap))
+    members = list(enumerate_members(ap.cls))
     rng = random.Random(31)
     for _ in range(15):
         a, b = rng.sample(members, 2)
-        assert n_count(a, b, ap) == oracle_n_count(a.to_operator(ap), b.to_operator(ap), ap)
+        assert n_count(a, b, ap.cls) == oracle_n_count(a.to_operator(ap), b.to_operator(ap), ap)
 
 
 def test_n_count_orthogonal_pair_is_k_squared():
@@ -166,7 +172,7 @@ def test_n_count_orthogonal_pair_is_k_squared():
     a = Labeling((0, 1, 1) + (None,) * 9)
     b = Labeling((None,) * 3 + (0, 1, 1) + (None,) * 6)
     assert labelings_orthogonal(a, b)
-    assert n_count(a, b, ap) == 9
+    assert n_count(a, b, ap.cls) == 9
     assert oracle_n_count(a.to_operator(ap), b.to_operator(ap), ap) == 9
 
 
@@ -175,18 +181,18 @@ def test_n_count_swapped_pair_value():
     ap = standard_apartment(cls_of(8, (1, 1)))
     a = Labeling((0, 1) + (None,) * 6)
     b = Labeling((1, 0) + (None,) * 6)
-    assert n_count(a, b, ap) == 13
+    assert n_count(a, b, ap.cls) == 13
     assert oracle_n_count(a.to_operator(ap), b.to_operator(ap), ap) == 13
 
 
 def test_n_count_bound_over_all_pairs_small():
-    ap = standard_apartment(cls_of(6, (1, 1)))
-    members = list(enumerate_members(ap))
+    cls = cls_of(6, (1, 1))
+    members = list(enumerate_members(cls))
     k = 2
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             m = image_overlap(members[i], members[j])
-            assert n_count(members[i], members[j], ap) >= lemma3_bound(k, m, 6)
+            assert n_count(members[i], members[j], cls) >= lemma3_bound(k, m, 6)
 
 
 def test_lemma3_bound_and_c_eval():
@@ -202,38 +208,38 @@ def test_lemma3_bound_and_c_eval():
 
 def test_remark2_strict_inequality():
     # e_i in both images, e_j in Im(A) only, i and j in different eigenspaces of A
-    ap = standard_apartment(cls_of(12, (1, 2)))
+    cls = cls_of(12, (1, 2))
     a = Labeling((0, 1, 1) + (None,) * 9)
     b = Labeling((0, None, None, 1, 1) + (None,) * 7)
     m = image_overlap(a, b)
     assert m == 1
-    assert n_count(a, b, ap) > lemma3_bound(3, m, 12)
+    assert n_count(a, b, cls) > lemma3_bound(3, m, 12)
 
 
 def test_compute_S():
     ap = standard_apartment(cls_of(8, (1, 1)))
-    members = list(enumerate_members(ap))
+    members = list(enumerate_members(ap.cls))
     # empty set: the full space
     assert compute_S(0, [], ap) == Subspace.full(8)
     # the whole apartment pins every line down
     for i in range(8):
         assert compute_S(i, members, ap).dim == 1
     # a type-(1) set leaves the plane of the pair undetermined
-    t1 = type_one_subset(PairIndex(0, 1), ap)
+    t1 = type_one_subset(PairIndex(0, 1), ap.cls)
     s0 = compute_S(0, t1, ap)
     assert s0.dim >= 2
     assert s0.contains(Subspace.coordinate(8, [1]))
 
 
 def test_is_orthogonally_inexact():
-    ap = standard_apartment(cls_of(8, (1, 1)))
-    members = list(enumerate_members(ap))
-    inexact, witness = is_orthogonally_inexact(members, ap.cls)
+    cls = cls_of(8, (1, 1))
+    members = list(enumerate_members(cls))
+    inexact, witness = is_orthogonally_inexact(members, cls)
     assert not inexact and witness is None
-    inexact, witness = is_orthogonally_inexact([], ap.cls)
+    inexact, witness = is_orthogonally_inexact([], cls)
     assert inexact and witness is not None
-    t1 = type_one_subset(PairIndex(2, 5), ap)
-    inexact, witness = is_orthogonally_inexact(t1, ap.cls)
+    t1 = type_one_subset(PairIndex(2, 5), cls)
+    inexact, witness = is_orthogonally_inexact(t1, cls)
     assert inexact
     assert {witness.i, witness.j} == {2, 5}
 
@@ -331,39 +337,61 @@ def test_pair_cells_bound_their_states():
             pair_cells(cls_of(n, dims))
 
 
+def test_label_functions_build_no_frame(monkeypatch):
+    # the functions that read only labels take the class and build no frame,
+    # which at n = 1000 would take minutes
+    def boom(*args, **kwargs):
+        raise AssertionError("a label function built a frame")
+
+    monkeypatch.setattr(Frame, "__init__", boom)
+    big = cls_of(1000, (1, 2))
+    assert member_count(big) == 1000 * math.comb(999, 2)
+    a = Labeling((0, 1, 1) + (None,) * 997)
+    b = Labeling((None,) * 3 + (0, 1, 1) + (None,) * 994)
+    c = Labeling((0, None, None, 1, 1) + (None,) * 995)
+    assert n_count(a, b, big) == 9
+    assert n_count(a, c, big) > lemma3_bound(3, 1, 1000)
+    assert decide_orthogonality_by_count(a, b, big)
+    assert not decide_orthogonality_by_count(a, c, big)
+    small = cls_of(6, (2,), (Fraction(1),))
+    assert len(list(enumerate_members(small))) == member_count(small) == 15
+    assert len(type_one_subset(PairIndex(0, 1), small)) == 7
+    assert verify_maximal_inexact(PairIndex(0, 1), small)
+
+
 def test_rotated_frame_cross_validation():
     # the rotated apartment's members among the original one are exactly the type-(1) set
     cls = cls_of(4, (1,), (Fraction(1),))
     ap = standard_apartment(cls)
     p = PairIndex(0, 1)
     rot = Apartment(rotated_frame(ap, p), cls)
-    original = {m.assignment for m in enumerate_members(ap)}
+    original = {m.assignment for m in enumerate_members(cls)}
     shared = set()
-    for m in enumerate_members(rot):
+    for m in enumerate_members(cls):
         op = m.to_operator(rot)
         try:
             lab = membership_labeling(ap, op)
         except NotAMember:
             continue
         shared.add(lab.assignment)
-    expected = {m.assignment for m in type_one_subset(p, ap)}
+    expected = {m.assignment for m in type_one_subset(p, cls)}
     assert shared == expected
 
 
 def test_verify_maximal_inexact_small():
-    ap = standard_apartment(cls_of(6, (2,), (Fraction(1),)))
-    assert verify_maximal_inexact(PairIndex(0, 1), ap)
-    assert verify_maximal_inexact(PairIndex(3, 5), ap)
+    cls = cls_of(6, (2,), (Fraction(1),))
+    assert verify_maximal_inexact(PairIndex(0, 1), cls)
+    assert verify_maximal_inexact(PairIndex(3, 5), cls)
 
 
 def test_decide_orthogonality_by_count():
-    ap = standard_apartment(cls_of(12, (1, 2)))
+    cls = cls_of(12, (1, 2))
     a = Labeling((0, 1, 1) + (None,) * 9)
     b = Labeling((None,) * 3 + (0, 1, 1) + (None,) * 6)
     c = Labeling((0, None, None, 1, 1) + (None,) * 7)
-    assert decide_orthogonality_by_count(a, b, ap)
-    assert not decide_orthogonality_by_count(a, c, ap)
-    small = standard_apartment(cls_of(10, (1, 2)))
+    assert decide_orthogonality_by_count(a, b, cls)
+    assert not decide_orthogonality_by_count(a, c, cls)
+    small = cls_of(10, (1, 2))
     with pytest.raises(ThresholdViolation):
         decide_orthogonality_by_count(
             Labeling((0, 1, 1) + (None,) * 7),
@@ -381,7 +409,7 @@ def test_apartment_invariance_of_n_count():
     b = Labeling((0, None, 1) + (None,) * 5)
     op_a, op_b = a.to_operator(standard), b.to_operator(standard)
     assert commutes(op_a, op_b)
-    reference = n_count(a, b, standard)
+    reference = n_count(a, b, cls)
 
     from orthoapart import Frame, refine_to_frame, split_into_lines
 
@@ -390,9 +418,9 @@ def test_apartment_invariance_of_n_count():
     frame2 = refine_to_frame(eigenspaces)
     ap2 = Apartment(frame2, cls)
     counts = {reference}
-    counts.add(n_count(membership_labeling(ap2, op_a), membership_labeling(ap2, op_b), ap2))
+    counts.add(n_count(membership_labeling(ap2, op_a), membership_labeling(ap2, op_b), cls))
 
     # apartment rotated inside the common kernel plane
     rot = Apartment(rotated_frame(standard, PairIndex(6, 7)), cls)
-    counts.add(n_count(membership_labeling(rot, op_a), membership_labeling(rot, op_b), rot))
+    counts.add(n_count(membership_labeling(rot, op_a), membership_labeling(rot, op_b), cls))
     assert counts == {reference}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from orthoapart.apartments import (
     rotated_frame,
     standard_apartment,
 )
+from orthoapart.compatibility import Frame
 from orthoapart.cli import (
     cmd_counterexample,
     cmd_refine,
@@ -28,6 +30,7 @@ from orthoapart.cli import (
     main,
 )
 from orthoapart.errors import OrthoapartError, ThresholdViolation
+from orthoapart.rigidity import MAX_DOMAIN_PAIRS
 from orthoapart.operators import ClassDescriptor
 from fractions import Fraction
 
@@ -126,6 +129,7 @@ def test_counterexample_materializes_no_operator(monkeypatch):
         raise AssertionError("the certificate materialized an operator")
 
     monkeypatch.setattr(Labeling, "to_operator", boom)
+    monkeypatch.setattr(Frame, "__init__", boom)
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "orthoapart"]:
         for name in (
             "materialize", "commutes", "orthogonal",
@@ -137,6 +141,21 @@ def test_counterexample_materializes_no_operator(monkeypatch):
         report = cmd_counterexample(name, cls_of(6, dims))
         assert report["preserves"] == {"orthogonal": True, "commute": True}
         assert report["witness"] is not None
+
+
+@pytest.mark.parametrize("name, n, dims, members", [("orth", 46, "1,1", 2070), ("comm", 46, "1,1", 2070),
+                                                    ("orth", 13, "5,5", 72072)])
+def test_counterexample_refuses_too_many_domain_pairs(name, n, dims, members, capsys):
+    # dims (1, 1) at n = 45 are the largest accepted; the domain's pair count
+    # is checked before any member is enumerated
+    assert math.comb(45 * 44, 2) <= MAX_DOMAIN_PAIRS < math.comb(46 * 45, 2)
+    start = time.perf_counter()
+    assert main(["counterexample", name, "--n", str(n), "--alphas", "1,2", "--dims", dims]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"the domain has {math.comb(members, 2)} member pairs, over the limit {MAX_DOMAIN_PAIRS}"
+            in captured.err)
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -367,6 +386,18 @@ def test_cli_import_is_lean():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
+def test_readme_python_blocks_run(capsys):
+    """The README's python blocks run as written, so the documented API
+    cannot drift from the package."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip().isdigit()
+
+
 # ---------------------------------------------------------------------------
 # the one-row label scan against the exhaustive pair walk
 
@@ -570,6 +601,9 @@ def test_member_file_shape_errors_exit_2(tmp_path, capsys):
         ({"class": good_class, "members": [[0, 1, None, None, None]]}, "members[0]"),
         ({"class": good_class, "members": [[0, 1, None, None, None, "x"]]}, "members[0][5]"),
         ({"class": {**good_class, "alphas": ["1/0", "2"]}, "members": []}, "class.alphas[0]"),
+        # an entry that is neither a slot of the class nor null
+        ({"class": good_class, "members": [[0, 1, 7, None, None, None]]}, "frame line 2 has label 7"),
+        ({"class": good_class, "members": [[0, 1, -1, None, None, None]]}, "frame line 2 has label -1"),
         ([], "member file"),
     ]
     path = tmp_path / "members.json"

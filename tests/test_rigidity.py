@@ -34,6 +34,7 @@ from util import (
     permutation_inducer,
     random_frame,
     random_labeling,
+    transformation_operators,
 )
 
 
@@ -46,7 +47,8 @@ def test_orth_swap_basic():
     t = example_orth_swap(cls)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     assert len(swapped) == 2
-    a, b = (t.operator(s) for s in swapped)
+    ops = transformation_operators(t)
+    a, b = (ops[s] for s in swapped)
     assert a.eigenspaces != b.eigenspaces
     assert image_of(a) == image_of(b) == x
     assert check_preservation(t, "orthogonal")
@@ -58,11 +60,12 @@ def test_orth_swap_trace_values():
     x = Subspace.coordinate(4, [0, 1])
     t = example_orth_swap(cls)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
-    a, b = (t.operator(s) for s in swapped)
+    ops = transformation_operators(t)
+    a, b = (ops[s] for s in swapped)
     # bystander with image span(e1, e3): pairs 1 with A, 2 with B
     c = next(
         op
-        for op in map(t.operator, range(len(t.members)))
+        for op in ops
         if op.eigenspaces[0][1] == Subspace.coordinate(4, [0])
         and op.eigenspaces[1][1] == Subspace.coordinate(4, [2])
     )
@@ -79,7 +82,8 @@ def test_orth_swap_rejects_projection_class():
 def test_comm_swap_basic():
     t = example_comm_swap(PAIR)
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
-    a, b = (t.operator(s) for s in swapped)
+    ops = transformation_operators(t)
+    a, b = (ops[s] for s in swapped)
     assert materialize(a) == Matrix.diagonal([1, 2, 0, 0])
     assert materialize(b) == Matrix.diagonal([2, 1, 0, 0])
     assert commutes(a, b)
@@ -91,7 +95,7 @@ def test_comm_swap_basic():
 def test_comm_swap_witness_values():
     t = example_comm_swap(PAIR)
     # bystander C = 1*P_e1 + 2*P_e3 pairs differently with A and B
-    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
+    mats = [materialize(op) for op in transformation_operators(t)]
     c_idx = mats.index(Matrix.diagonal([1, 0, 2, 0]))
     swapped = [s for s in range(len(t.members)) if t.mapping[s] != s]
     a_idx, b_idx = swapped
@@ -114,9 +118,8 @@ def test_swap_is_involution():
 
 def test_identity_preserves_everything():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
-    ap = standard_apartment(cls)
-    members = list(enumerate_members(ap))[:6]
-    t = FiniteTransformation(ap, members, range(len(members)))
+    members = list(enumerate_members(cls))[:6]
+    t = FiniteTransformation(cls, members, range(len(members)))
     assert check_preservation(t, "commute")
     assert check_preservation(t, "orthogonal")
     assert gram_obstruction(t) is None
@@ -125,13 +128,13 @@ def test_identity_preserves_everything():
 def test_gram_obstruction_silent_on_conjugations():
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     ap = standard_apartment(cls)
-    members = list(enumerate_members(ap))
+    members = list(enumerate_members(cls))
     domain = [m.to_operator(ap) for m in members]
     u = signed_permutation_matrix(4, [1, 3, 0, 2], [1, -1, -1, 1])
     conjugated = [materialize(conjugate_operator(op, u)) for op in domain]
     mats = [materialize(op) for op in domain]
     mapping = [mats.index(c) for c in conjugated]
-    t = FiniteTransformation(ap, members, mapping)
+    t = FiniteTransformation(cls, members, mapping)
     assert gram_obstruction(t) is None
     assert check_preservation(t, "commute")
     assert check_preservation(t, "orthogonal")
@@ -143,13 +146,13 @@ def test_permutation_inducer_positive_and_negative():
 
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     ap = standard_apartment(cls)
-    members = list(enumerate_members(ap))
+    members = list(enumerate_members(cls))
     domain = [m.to_operator(ap) for m in members]
     u = signed_permutation_matrix(4, [1, 0, 2, 3])
     mats = [materialize(op) for op in domain]
     conjugated = [materialize(conjugate_operator(op, u)) for op in domain]
     mapping = tuple(mats.index(c) for c in conjugated)
-    aligned = FiniteTransformation(ap, members, mapping)
+    aligned = FiniteTransformation(cls, members, mapping)
     found = permutation_inducer(aligned)
     assert found is not None
     uh = found.adjoint()
@@ -175,26 +178,26 @@ def _certificate_cases():
                     continue
                 cls = ClassDescriptor(n, ALPHAS[: len(dims)], dims)
                 swap = example_orth_swap(cls)
-                ap, members = swap.apartment, swap.members
+                members = swap.members
                 yield swap
                 if len(members) <= 12:
-                    yield FiniteTransformation(ap, members, range(len(members)))
+                    yield FiniteTransformation(cls, members, range(len(members)))
                     # U e_i = -e_(i+1) moves the label of line i to line i+1
                     rotated = [m.assignment[-1:] + m.assignment[:-1] for m in members]
                     keys = [m.assignment for m in members]
-                    yield FiniteTransformation(ap, members, [keys.index(r) for r in rotated])
+                    yield FiniteTransformation(cls, members, [keys.index(r) for r in rotated])
                 if len(dims) == 2 and dims[0] == dims[1]:
                     yield example_comm_swap(cls)
-    ap = standard_apartment(ClassDescriptor(4, ALPHAS[:2], (1, 1)))
-    members = list(enumerate_members(ap))
+    cls = ClassDescriptor(4, ALPHAS[:2], (1, 1))
+    members = list(enumerate_members(cls))
     for a, b in combinations(range(len(members)), 2):
         mapping = list(range(len(members)))
         mapping[a], mapping[b] = b, a
-        yield FiniteTransformation(ap, members, mapping)
+        yield FiniteTransformation(cls, members, mapping)
         # beside member 0 alone, a relation is preserved iff member 0
         # relates to a and to b alike
         if a > 0:
-            yield FiniteTransformation(ap, (members[0], members[a], members[b]), (0, 2, 1))
+            yield FiniteTransformation(cls, (members[0], members[a], members[b]), (0, 2, 1))
 
 
 def test_label_certificate_matches_matrix_oracle():
@@ -202,10 +205,10 @@ def test_label_certificate_matches_matrix_oracle():
     for t in _certificate_cases():
         for relation in ("commute", "orthogonal"):
             got = check_preservation(t, relation)
-            assert got == oracle_check_preservation(t, relation), (t.apartment.cls, t.mapping, relation)
+            assert got == oracle_check_preservation(t, relation), (t.cls, t.mapping, relation)
             preserved.add(got)
         witness = gram_obstruction(t)
-        assert witness == oracle_gram_obstruction(t), (t.apartment.cls, t.mapping)
+        assert witness == oracle_gram_obstruction(t), (t.cls, t.mapping)
         witnesses.append(witness)
     assert preserved == {True, False}
     assert None in witnesses and any(w is not None for w in witnesses)

@@ -13,7 +13,6 @@ from orthoapart.apartments import (
     Labeling,
     PairIndex,
     enumerate_members,
-    standard_apartment,
 )
 from orthoapart.compatibility import Frame
 from orthoapart.operators import ClassDescriptor, SpectralOperator
@@ -24,8 +23,7 @@ from orthoapart.subspaces import Subspace
 from util import TWINS
 
 CLS = ClassDescriptor(3, (1, 2), (1, 1))
-AP = standard_apartment(CLS)
-MEMBERS = list(enumerate_members(AP))
+MEMBERS = list(enumerate_members(CLS))
 LINES = [Subspace.coordinate(2, [i]) for i in range(2)]
 
 # (class, positional arguments); keyword construction uses the field names
@@ -47,8 +45,8 @@ SAMPLES = [
     (Labeling, ([0, None, 1],)),
     (Labeling, ((0, None, 1),)),
     (Labeling, ((None, 0, 1),)),
-    (FiniteTransformation, (AP, MEMBERS, range(len(MEMBERS)))),
-    (FiniteTransformation, (AP, MEMBERS[:2], [1, 0])),
+    (FiniteTransformation, (CLS, MEMBERS, range(len(MEMBERS)))),
+    (FiniteTransformation, (CLS, MEMBERS[:2], [1, 0])),
     (GramWitness, (0, 1, Fraction(1), Fraction(2))),
     (GramWitness, (0, 1, Fraction(1), Fraction(3))),
 ]

@@ -139,7 +139,7 @@ def oracle_in_orthocomplementary(op: SpectralOperator, ap: Apartment, i: int, j:
 
 
 def oracle_n_count(a: SpectralOperator, b: SpectralOperator, ap: Apartment) -> int:
-    n = ap.n
+    n = ap.cls.n
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,9 +198,15 @@ def span_sum_image(op: SpectralOperator) -> Subspace:
 # operator-matrix oracles for the counterexample certificate: the relations
 # and the trace pairing evaluated on the materialized members
 
+def transformation_operators(t: FiniteTransformation) -> List[SpectralOperator]:
+    """The members of t as spectral operators, on the standard apartment."""
+    ap = standard_apartment(t.cls)
+    return [m.to_operator(ap) for m in t.members]
+
+
 def oracle_check_preservation(t: FiniteTransformation, relation: str) -> bool:
     rel = {"commute": commutes, "orthogonal": orthogonal}[relation]
-    d = [t.operator(s) for s in range(len(t.members))]
+    d = transformation_operators(t)
     for s in range(len(d)):
         for u in range(s + 1, len(d)):
             if rel(d[s], d[u]) != rel(d[t.mapping[s]], d[t.mapping[u]]):
@@ -209,7 +215,7 @@ def oracle_check_preservation(t: FiniteTransformation, relation: str) -> bool:
 
 
 def oracle_gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
-    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
+    mats = [materialize(op) for op in transformation_operators(t)]
 
     def tr(i, j):
         return (mats[i] @ mats[j]).trace().re
@@ -233,8 +239,8 @@ def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
     """
     if not t.members:
         return Matrix.identity(0)
-    n = t.apartment.n
-    mats = [materialize(t.operator(s)) for s in range(len(t.members))]
+    n = t.cls.n
+    mats = [materialize(op) for op in transformation_operators(t)]
     for perm in permutations(range(n)):
         u = signed_permutation_matrix(n, perm)
         uh = u.adjoint()
@@ -343,8 +349,8 @@ def oracle_joint_table(cls: ClassDescriptor, a, b) -> Tuple[Tuple[int, ...], ...
 # exhaustive pair-scan oracles: the report of verify-lemma3, verify-lemma4
 # and scan-boundary computed by walking all M(M-1)/2 member pairs
 
-def _masks(ap: Apartment) -> Tuple[list, list, list]:
-    members = list(enumerate_members(ap))
+def _masks(cls: ClassDescriptor) -> Tuple[list, list, list]:
+    members = list(enumerate_members(cls))
     pair_masks = [_pair_mask(m.assignment) for m in members]
     image_masks = [_image_mask(m.assignment) for m in members]
     return members, pair_masks, image_masks
@@ -352,8 +358,7 @@ def _masks(ap: Apartment) -> Tuple[list, list, list]:
 
 def oracle_verify_lemma3(cls: ClassDescriptor) -> dict:
     n, k = cls.n, cls.rank
-    ap = standard_apartment(cls)
-    members, pair_masks, image_masks = _masks(ap)
+    members, pair_masks, image_masks = _masks(cls)
     bounds = [lemma3_bound(k, m, n) for m in range(k + 1)]
     violations = []
     histogram: dict = {}
@@ -398,8 +403,7 @@ def oracle_verify_lemma3(cls: ClassDescriptor) -> dict:
 def oracle_verify_lemma4(cls: ClassDescriptor) -> dict:
     """The lemma-4 report, without the n >= 4k guard."""
     n, k = cls.n, cls.rank
-    ap = standard_apartment(cls)
-    members, pair_masks, image_masks = _masks(ap)
+    members, pair_masks, image_masks = _masks(cls)
     disagreements = []
     pairs_checked = 0
     k2 = k * k
@@ -443,8 +447,7 @@ def oracle_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, 
             "c_at_m_star": str(c_eval(m_star, k, n)) if integral else None,
             "c0_equals_c_m_star": bool(integral and c_eval(m_star, k, n) == c0),
         }
-        ap = standard_apartment(cls)
-        members, pair_masks, image_masks = _masks(ap)
+        members, pair_masks, image_masks = _masks(cls)
         k2 = k * k
         found = 0
         first_pair = None
@@ -871,7 +874,7 @@ class LabelingTwin:
 @_named_as(FiniteTransformation)
 @dataclass(frozen=True)
 class FiniteTransformationTwin:
-    apartment: Apartment
+    cls: ClassDescriptor
     members: Tuple[Labeling, ...]
     mapping: Tuple[int, ...]
 
