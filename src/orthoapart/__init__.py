@@ -54,11 +54,9 @@ from .rigidity import (
     FiniteTransformation,
     GramWitness,
     check_preservation,
-    conjugate_operator,
     example_comm_swap,
     example_orth_swap,
     gram_obstruction,
-    signed_permutation_matrix,
     witness_commuting_operator,
 )
 from . import errors
@@ -114,8 +112,6 @@ __all__ = [
     "example_comm_swap",
     "check_preservation",
     "gram_obstruction",
-    "conjugate_operator",
-    "signed_permutation_matrix",
     "witness_commuting_operator",
     "errors",
 ]

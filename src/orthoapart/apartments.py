@@ -186,36 +186,6 @@ def _pair_mask(assignment: Tuple[Slot, ...]) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _image_mask(assignment: Tuple[Slot, ...]) -> int:
-    mask = 0
-    for i, t in enumerate(assignment):
-        if t is not None:
-            mask |= 1 << i
-    return mask
-
-
-def labelings_orthogonal(a: Labeling, b: Labeling) -> bool:
-    """Orthogonality of the two members: disjoint images."""
-    return _image_mask(a.assignment) & _image_mask(b.assignment) == 0
-
-
-def image_overlap(a: Labeling, b: Labeling) -> int:
-    """dim(Im A cap Im B) for two members of a common apartment."""
-    return (_image_mask(a.assignment) & _image_mask(b.assignment)).bit_count()
-
-
-def trace_pairing(a: Labeling, b: Labeling, cls: ClassDescriptor) -> Fraction:
-    """tr(AB) for two members of a common apartment: the frame lines are
-    orthogonal rank-one projections, so only the lines both members label
-    contribute, each the product of its two eigenvalues."""
-    return sum(
-        (cls.alphas[s] * cls.alphas[t] for s, t in zip(a.assignment, b.assignment)
-         if s is not None and t is not None),
-        Fraction(0),
-    )
-
-
 def n_count(a: Labeling, b: Labeling, cls: ClassDescriptor) -> int:
     """The number of orthocomplementary subsets C_ij containing both members."""
     a.validate(cls)

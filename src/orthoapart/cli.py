@@ -187,7 +187,7 @@ SWAPS = {"orth": example_orth_swap, "comm": example_comm_swap}
 def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
     """Build the requested swap from the class over its standard apartment,
     every other member a bystander, and emit its preservation/obstruction
-    certificate, decided on labels (see rigidity)."""
+    certificate, decided by identities on labels (see rigidity)."""
     if name not in SWAPS:
         raise OrthoapartError(f"unknown counterexample {name!r}")
     t = SWAPS[name](cls)
@@ -197,7 +197,7 @@ def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
         "command": "counterexample",
         "name": name,
         "class": serialize.class_to_json(cls),
-        "domain_size": len(t.members),
+        "domain_size": member_count(cls),
         "preserves": {
             "orthogonal": check_preservation(t, "orthogonal"),
             "commute": check_preservation(t, "commute"),

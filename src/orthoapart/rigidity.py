@@ -2,16 +2,20 @@
 
 Two generators produce finite relation-preserving swaps that no unitary or
 anti-unitary conjugation can induce: the image-swap (two distinct operators
-sharing one image, everything else fixed) and the eigenvalue-swap for a
-class with two equal-dimensional eigenspaces.  Each swap is built from the
-class alone and permutes the members of an apartment, read as operators on
-the coordinate frame.  Non-inducibility is certified through the trace
-pairing tr(AB), which any unitary or anti-unitary conjugation preserves.
+sharing one image) and the eigenvalue-swap for a class with two
+equal-dimensional eigenspaces.  Each transposes two members a and b of the
+standard apartment (the one on the coordinate frame), which label the first
+k frame lines and no other, and fixes every other member.
+Non-inducibility is certified through the trace pairing tr(AB), which any
+unitary or anti-unitary conjugation preserves.
 
-The certificate is decided on labels, with no operator materialized:
-members of one apartment commute pairwise, two members are orthogonal iff
-their label images are disjoint, and tr(AB) = sum_i alpha(a_i) alpha(b_i)
-over the frame lines i that both label.
+The certificate is decided by identities on labels, with no member list and
+no operator.  Only the pairs holding a or b change, and (a, b) maps to
+itself.  Members of one apartment commute pairwise, and a and b have the
+same image, so every bystander is orthogonal to both or to neither: both
+relations are preserved.  A bystander x pairs with a as
+tr(AX) = sum_i alpha(a_i) alpha(x_i), over the first k lines, so the
+witness walk reads only x's labels on those lines.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .apartments import (
-    Labeling,
-    enumerate_members,
-    labelings_orthogonal,
-    member_count,
-    trace_pairing,
-)
+from .apartments import _multinomial, member_count
 from .compatibility import split_into_lines
 from .errors import (
     NoRoom,
@@ -35,32 +33,31 @@ from .errors import (
     ProjectionClass,
     Value,
 )
-from .matrices import Matrix
 from .operators import ClassDescriptor, SpectralOperator, image_of
 from .subspaces import Subspace, span_sum
 
-# The certificate walks every member pair of a swap's domain.  At the limit
-# the slowest shape measured, dims (1, 1) at n = 45, takes about 5 s end to
-# end (2-vCPU Xeon, Python 3.11).
-MAX_DOMAIN_PAIRS = 2_000_000
+# gram_obstruction walks at most min(M, (m + 1)^k) blocks, each O(k) work,
+# and refuses a class over this many before it starts.  Every class of at
+# most 2,000 members is accepted.
+MAX_BLOCKS = 2000
 
 
 class FiniteTransformation(Value):
-    """A bijection of members of one apartment of the class, given as a
-    permutation of member indices: member s goes to member mapping[s]."""
+    """The transposition of two members a and b of the class's standard
+    apartment that fixes every other member.  a and b are the labels of the
+    first k frame lines, every later line being None: a is member 0, the
+    slots in order, and b holds the same slots in another order."""
 
-    __slots__ = ("cls", "members", "mapping")
+    __slots__ = ("cls", "a", "b")
 
-    def __init__(
-        self, cls: ClassDescriptor, members: Tuple[Labeling, ...], mapping: Tuple[int, ...]
-    ):
+    def __init__(self, cls: ClassDescriptor, a: Sequence[int], b: Sequence[int]):
         object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "mapping", tuple(mapping))
-        if sorted(self.mapping) != list(range(len(self.members))):
-            raise OrthoapartError("mapping is not a permutation of the members")
-        for m in self.members:
-            m.validate(cls)
+        object.__setattr__(self, "a", tuple(a))
+        object.__setattr__(self, "b", tuple(b))
+        if self.a != _first_member(cls):
+            raise OrthoapartError("a must label the first k frame lines with the slots in order")
+        if len(self.b) != cls.rank or [self.b.count(t) for t in range(cls.m)] != list(cls.dims):
+            raise OrthoapartError("b must label the first k frame lines with the slots of a")
 
 
 class GramWitness(Value):
@@ -79,22 +76,9 @@ class GramWitness(Value):
 # ---------------------------------------------------------------------------
 # counterexample generators
 
-def _swap_transformation(
-    cls: ClassDescriptor, a: List[Optional[int]], b: List[Optional[int]]
-) -> FiniteTransformation:
-    """All members of an apartment as bystanders, with the labelings a and
-    b of its first frame lines transposed.  A domain of more member pairs
-    than MAX_DOMAIN_PAIRS is refused before it is enumerated."""
-    pairs = math.comb(member_count(cls), 2)
-    if pairs > MAX_DOMAIN_PAIRS:
-        raise OrthoapartError(f"the domain has {pairs} member pairs, over the limit {MAX_DOMAIN_PAIRS}")
-    rest = [None] * (cls.n - len(a))
-    a, b = Labeling(tuple(a + rest)), Labeling(tuple(b + rest))
-    members = tuple(enumerate_members(cls))
-    ia, ib = members.index(a), members.index(b)
-    mapping = list(range(len(members)))
-    mapping[ia], mapping[ib] = ib, ia
-    return FiniteTransformation(cls, members, tuple(mapping))
+def _first_member(cls: ClassDescriptor) -> Tuple[int, ...]:
+    """Member 0's labels of the first k frame lines: the slots in order."""
+    return tuple(t for t, d in enumerate(cls.dims) for _ in range(d))
 
 
 def example_orth_swap(cls: ClassDescriptor) -> FiniteTransformation:
@@ -108,8 +92,8 @@ def example_orth_swap(cls: ClassDescriptor) -> FiniteTransformation:
         raise ProjectionClass(
             "a single-eigenvalue class has exactly one operator per image"
         )
-    forward = [t for t, d in enumerate(cls.dims) for _ in range(d)]
-    return _swap_transformation(cls, forward, forward[::-1])
+    forward = _first_member(cls)
+    return FiniteTransformation(cls, forward, forward[::-1])
 
 
 def example_comm_swap(cls: ClassDescriptor) -> FiniteTransformation:
@@ -124,7 +108,7 @@ def example_comm_swap(cls: ClassDescriptor) -> FiniteTransformation:
             "the commutativity counterexample needs two eigenvalues of equal dimension"
         )
     d = cls.dims[0]
-    return _swap_transformation(cls, [0] * d + [1] * d, [1] * d + [0] * d)
+    return FiniteTransformation(cls, [0] * d + [1] * d, [1] * d + [0] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -134,51 +118,62 @@ def check_preservation(t: FiniteTransformation, relation: str) -> bool:
     """True iff the relation holds for (A, B) exactly when it holds for
     (f(A), f(B)), over all member pairs.  relation: 'commute' | 'orthogonal'.
 
-    Members of one apartment commute pairwise, and two of them are
-    orthogonal iff their label images are disjoint."""
-    rel = {"commute": lambda a, b: True, "orthogonal": labelings_orthogonal}[relation]
-    d = t.members
-    fd = [d[i] for i in t.mapping]
-    return all(
-        rel(d[s], d[u]) == rel(fd[s], fd[u])
-        for s in range(len(d))
-        for u in range(s + 1, len(d))
-    )
+    Only the pairs (a, x) and (b, x) with a bystander x change, into (b, x)
+    and (a, x).  Members of one apartment commute pairwise, and a and b
+    have the same image, so x is orthogonal to both or to neither."""
+    return {"commute": True, "orthogonal": True}[relation]
 
 
 def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     """First member pair (s, u) with tr(A_s A_u) != tr(f(A_s) f(A_u)), or
     None.  A witness rules out every unitary and anti-unitary inducer, both
     of which preserve the real trace pairing of self-adjoint operators.
-    The pairing is read off the labels (see trace_pairing)."""
-    d, cls = t.members, t.cls
-    fd = [d[i] for i in t.mapping]
-    for s in range(len(d)):
-        for u in range(s + 1, len(d)):
-            lhs = trace_pairing(d[s], d[u], cls)
-            rhs = trace_pairing(fd[s], fd[u], cls)
-            if lhs != rhs:
-                return GramWitness(s, u, lhs, rhs)
-    return None
 
-
-def conjugate_operator(op: SpectralOperator, u: Matrix) -> SpectralOperator:
-    """U A U* in spectral form: each eigenspace projection becomes
-    U P U*.  u must be unitary for the result to stay in the class."""
-    uh = u.adjoint()
-    eig = tuple((a, Subspace(u @ x.proj @ uh)) for a, x in op.eigenspaces)
-    return SpectralOperator(op.cls, eig)
-
-
-def signed_permutation_matrix(n: int, perm: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
-    """The unitary sending e_i to signs[i] * e_{perm[i]}."""
-    signs = signs or [1] * n
-    cols = []
-    for i in range(n):
-        col = [0] * n
-        col[perm[i]] = signs[i]
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    A bystander x whose pairing with a (member 0) differs from its pairing
+    with b changes the pair (0, x) and, later in (s, u) order, the pair of x
+    and b; no other pair changes.  So the witness is (0, x) for the least
+    such x.  Both pairings, sum_i alpha(a_i) alpha(x_i) and likewise for b, read only x's
+    labels of the first k lines.  So the members are walked as blocks that
+    share those k labels, in lexicographic order (slots before None): a
+    block's first index is the sum of the sizes of the blocks before it,
+    each a multinomial in n, and a and b are blocks of one member each.  The
+    witness heads the first other block whose two pairings differ.  A class
+    of more than MAX_BLOCKS possible blocks is refused before the walk."""
+    cls, k, m = t.cls, t.cls.rank, t.cls.m
+    blocks = min(member_count(cls), (m + 1) ** k)
+    if blocks > MAX_BLOCKS:
+        raise OrthoapartError(f"the witness walk may visit {blocks} blocks, the lesser of "
+                              f"M and (m + 1)^k, over the limit {MAX_BLOCKS}")
+    # eigenvalues times a common denominator, so pairings sum integers; None is label m
+    den = math.lcm(*(x.denominator for x in cls.alphas))
+    alpha = [int(x * den) for x in cls.alphas] + [0]
+    a, b = list(t.a), list(t.b)
+    left = [*cls.dims, cls.n - k]  # lines each label has left
+    x: List[int] = []  # the block's labels of the first k lines, so far
+    pairings = [(0, 0)]  # x's pairings with a and with b, after each line
+    first, label = 0, 0  # the block's first index; the next label to try at line len(x)
+    while True:
+        if len(x) == k:
+            lhs, rhs = pairings[-1]
+            if lhs != rhs and x != a and x != b:
+                return GramWitness(0, first, Fraction(lhs, den * den), Fraction(rhs, den * den))
+            first += _multinomial(left)
+            label = m + 1
+        while label <= m and not left[label]:
+            label += 1
+        if label <= m:
+            i, (lhs, rhs) = len(x), pairings[-1]
+            pairings.append((lhs + alpha[a[i]] * alpha[label], rhs + alpha[b[i]] * alpha[label]))
+            left[label] -= 1
+            x.append(label)
+            label = 0
+        elif x:
+            pairings.pop()
+            label = x.pop()
+            left[label] += 1
+            label += 1
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,13 @@ from orthoapart import (
     verify_maximal_inexact,
     witness_commuting_operator,
 )
-from orthoapart.apartments import (
-    decide_orthogonality_by_count,
-    image_overlap,
-    labelings_orthogonal,
-)
+from orthoapart.apartments import decide_orthogonality_by_count
 from orthoapart.cli import cmd_scan_boundary
 from orthoapart.errors import IncompatibleFamily
 
 from util import (
+    image_overlap,
+    labelings_orthogonal,
     matrices_commute,
     matrices_orthogonal,
     random_frame,

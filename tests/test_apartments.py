@@ -35,8 +35,6 @@ from orthoapart import (
 from orthoapart.apartments import (
     MAX_TRANSFER_STATES,
     _member_assignments,
-    image_overlap,
-    labelings_orthogonal,
     pair_cells,
 )
 from orthoapart.compatibility import Frame
@@ -46,6 +44,8 @@ from orthoapart.subspaces import Subspace
 from util import (
     compositions,
     first_member_rank,
+    image_overlap,
+    labelings_orthogonal,
     member_tables,
     oracle_joint_table,
     oracle_member_assignments,

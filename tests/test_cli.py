@@ -30,7 +30,7 @@ from orthoapart.cli import (
     main,
 )
 from orthoapart.errors import OrthoapartError, ThresholdViolation
-from orthoapart.rigidity import MAX_DOMAIN_PAIRS
+from orthoapart.rigidity import MAX_BLOCKS
 from orthoapart.operators import ClassDescriptor
 from fractions import Fraction
 
@@ -143,19 +143,31 @@ def test_counterexample_materializes_no_operator(monkeypatch):
         assert report["witness"] is not None
 
 
-@pytest.mark.parametrize("name, n, dims, members", [("orth", 46, "1,1", 2070), ("comm", 46, "1,1", 2070),
-                                                    ("orth", 13, "5,5", 72072)])
-def test_counterexample_refuses_too_many_domain_pairs(name, n, dims, members, capsys):
-    # dims (1, 1) at n = 45 are the largest accepted; the domain's pair count
-    # is checked before any member is enumerated
-    assert math.comb(45 * 44, 2) <= MAX_DOMAIN_PAIRS < math.comb(46 * 45, 2)
+@pytest.mark.parametrize("name, n, dims, blocks", [("orth", 9, "1,1,1,1,1,1,1,1", 362880),
+                                                   ("orth", 10 ** 9, "1,1,1,1,1,1,1,1", 9 ** 8),
+                                                   ("comm", 10, "4,4", 3150)])
+def test_counterexample_refuses_too_many_blocks(name, n, dims, blocks, capsys):
+    # the witness walk may visit min(M, (m + 1)^k) blocks, checked before it
+    # starts; comm 4,4 is accepted at n = 9 (630 members)
+    alphas = ",".join(str(i + 1) for i in range(dims.count(",") + 1))
     start = time.perf_counter()
-    assert main(["counterexample", name, "--n", str(n), "--alphas", "1,2", "--dims", dims]) == 2
+    assert main(["counterexample", name, "--n", str(n), "--alphas", alphas, "--dims", dims]) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"the domain has {math.comb(members, 2)} member pairs, over the limit {MAX_DOMAIN_PAIRS}"
-            in captured.err)
+    assert f"the witness walk may visit {blocks} blocks" in captured.err
+    assert f"over the limit {MAX_BLOCKS}" in captured.err
+    assert main(["counterexample", "comm", "--n", "9", "--alphas", "1,2", "--dims", "4,4"]) == 0
+
+
+@pytest.mark.parametrize("n", [1000, 10 ** 9])
+def test_counterexample_at_large_n(n, capsys):
+    start = time.perf_counter()
+    assert main(["counterexample", "orth", "--n", str(n), "--alphas", "1,2", "--dims", "1,1"]) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["domain_size"] == n * (n - 1)
+    assert report["witness"] == {"s": 0, "t": 1, "lhs": "1", "rhs": "2"}
 
 
 def test_cli_end_to_end(tmp_path, capsys):

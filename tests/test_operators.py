@@ -17,11 +17,13 @@ from orthoapart import (
 from orthoapart.errors import DimensionMismatch, OrthoapartError
 
 from util import (
+    conjugate_operator,
     matrices_commute,
     matrices_orthogonal,
     random_frame,
     random_labeling,
     random_operator,
+    signed_permutation_matrix,
     span_sum_image,
 )
 from orthoapart.apartments import Apartment
@@ -160,8 +162,6 @@ def test_predicates_agree_with_matrix_oracle():
 
 
 def test_unitary_conjugation_preserves_hs_inner():
-    from orthoapart import conjugate_operator, signed_permutation_matrix
-
     rng = random.Random(13)
     cls = ClassDescriptor(4, (Fraction(1), Fraction(2)), (1, 1))
     perm = [2, 0, 3, 1]

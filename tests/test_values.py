@@ -8,12 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoapart.apartments import (
-    Apartment,
-    Labeling,
-    PairIndex,
-    enumerate_members,
-)
+from orthoapart.apartments import Apartment, Labeling, PairIndex
 from orthoapart.compatibility import Frame
 from orthoapart.operators import ClassDescriptor, SpectralOperator
 from orthoapart.rigidity import FiniteTransformation, GramWitness
@@ -23,7 +18,6 @@ from orthoapart.subspaces import Subspace
 from util import TWINS
 
 CLS = ClassDescriptor(3, (1, 2), (1, 1))
-MEMBERS = list(enumerate_members(CLS))
 LINES = [Subspace.coordinate(2, [i]) for i in range(2)]
 
 # (class, positional arguments); keyword construction uses the field names
@@ -45,8 +39,8 @@ SAMPLES = [
     (Labeling, ([0, None, 1],)),
     (Labeling, ((0, None, 1),)),
     (Labeling, ((None, 0, 1),)),
-    (FiniteTransformation, (CLS, MEMBERS, range(len(MEMBERS)))),
-    (FiniteTransformation, (CLS, MEMBERS[:2], [1, 0])),
+    (FiniteTransformation, (CLS, (0, 1), (1, 0))),
+    (FiniteTransformation, (CLS, [0, 1], [0, 1])),
     (GramWitness, (0, 1, Fraction(1), Fraction(2))),
     (GramWitness, (0, 1, Fraction(1), Fraction(3))),
 ]

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,14 +32,12 @@ from orthoapart import (
     materialize,
     orthogonal,
     projection_of,
-    signed_permutation_matrix,
     span_sum,
     split_into_lines,
 )
 from orthoapart import serialize
 from orthoapart.apartments import (
     Slot,
-    _image_mask,
     _member_assignments,
     _multinomial,
     _pair_mask,
@@ -195,16 +194,125 @@ def span_sum_image(op: SpectralOperator) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# operator-matrix oracles for the counterexample certificate: the relations
-# and the trace pairing evaluated on the materialized members
+# label helpers that only tests read: image masks, orthogonality and overlap
+# of two members, their trace pairing, and unitary conjugation
 
-def transformation_operators(t: FiniteTransformation) -> List[SpectralOperator]:
+@lru_cache(maxsize=None)
+def _image_mask(assignment: Tuple[Slot, ...]) -> int:
+    mask = 0
+    for i, t in enumerate(assignment):
+        if t is not None:
+            mask |= 1 << i
+    return mask
+
+
+def labelings_orthogonal(a: Labeling, b: Labeling) -> bool:
+    """Orthogonality of the two members: disjoint images."""
+    return _image_mask(a.assignment) & _image_mask(b.assignment) == 0
+
+
+def image_overlap(a: Labeling, b: Labeling) -> int:
+    """dim(Im A cap Im B) for two members of a common apartment."""
+    return (_image_mask(a.assignment) & _image_mask(b.assignment)).bit_count()
+
+
+def trace_pairing(a: Labeling, b: Labeling, cls: ClassDescriptor) -> Fraction:
+    """tr(AB) for two members of a common apartment: the frame lines are
+    orthogonal rank-one projections, so only the lines both members label
+    contribute, each the product of its two eigenvalues."""
+    return sum(
+        (cls.alphas[s] * cls.alphas[t] for s, t in zip(a.assignment, b.assignment)
+         if s is not None and t is not None),
+        Fraction(0),
+    )
+
+
+def conjugate_operator(op: SpectralOperator, u: Matrix) -> SpectralOperator:
+    """U A U* in spectral form: each eigenspace projection becomes
+    U P U*.  u must be unitary for the result to stay in the class."""
+    uh = u.adjoint()
+    eig = tuple((a, Subspace(u @ x.proj @ uh)) for a, x in op.eigenspaces)
+    return SpectralOperator(op.cls, eig)
+
+
+def signed_permutation_matrix(n: int, perm: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
+    """The unitary sending e_i to signs[i] * e_{perm[i]}."""
+    signs = signs or [1] * n
+    cols = []
+    for i in range(n):
+        col = [0] * n
+        col[perm[i]] = signs[i]
+        cols.append(col)
+    return Matrix.from_columns(cols)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the counterexample certificate: a general permutation of
+# members, decided over all member pairs on labels and on matrices
+
+class MemberPermutation(NamedTuple):
+    """A bijection of members of one apartment of the class, given as a
+    permutation of member indices: member s goes to member mapping[s]."""
+
+    cls: ClassDescriptor
+    members: Tuple[Labeling, ...]
+    mapping: Tuple[int, ...]
+
+
+def member_permutation(cls: ClassDescriptor, members, mapping) -> MemberPermutation:
+    members, mapping = tuple(members), tuple(mapping)
+    assert sorted(mapping) == list(range(len(members))), "mapping is not a permutation"
+    for m in members:
+        m.validate(cls)
+    return MemberPermutation(cls, members, mapping)
+
+
+def as_permutation(t: FiniteTransformation) -> MemberPermutation:
+    """The transposition t of members a and b, over every member of the
+    standard apartment."""
+    members = tuple(enumerate_members(t.cls))
+    rest = (None,) * (t.cls.n - t.cls.rank)
+    ia, ib = (members.index(Labeling(x + rest)) for x in (t.a, t.b))
+    mapping = list(range(len(members)))
+    mapping[ia], mapping[ib] = ib, ia
+    return member_permutation(t.cls, members, mapping)
+
+
+def label_check_preservation(p: MemberPermutation, relation: str) -> bool:
+    """The relation on every member pair against its image pair, read on
+    labels: members of one apartment commute, and two are orthogonal iff
+    their label images are disjoint."""
+    rel = {"commute": lambda a, b: True, "orthogonal": labelings_orthogonal}[relation]
+    d = p.members
+    fd = [d[i] for i in p.mapping]
+    return all(
+        rel(d[s], d[u]) == rel(fd[s], fd[u])
+        for s in range(len(d))
+        for u in range(s + 1, len(d))
+    )
+
+
+def label_gram_obstruction(p: MemberPermutation) -> Optional[GramWitness]:
+    """The first member pair, in (s, u) order, whose trace pairing on
+    labels changes, or None."""
+    d, cls = p.members, p.cls
+    fd = [d[i] for i in p.mapping]
+    for s in range(len(d)):
+        for u in range(s + 1, len(d)):
+            lhs = trace_pairing(d[s], d[u], cls)
+            rhs = trace_pairing(fd[s], fd[u], cls)
+            if lhs != rhs:
+                return GramWitness(s, u, lhs, rhs)
+    return None
+
+
+def transformation_operators(t: MemberPermutation) -> List[SpectralOperator]:
     """The members of t as spectral operators, on the standard apartment."""
     ap = standard_apartment(t.cls)
     return [m.to_operator(ap) for m in t.members]
 
 
-def oracle_check_preservation(t: FiniteTransformation, relation: str) -> bool:
+def oracle_check_preservation(t: MemberPermutation, relation: str) -> bool:
     rel = {"commute": commutes, "orthogonal": orthogonal}[relation]
     d = transformation_operators(t)
     for s in range(len(d)):
@@ -214,7 +322,7 @@ def oracle_check_preservation(t: FiniteTransformation, relation: str) -> bool:
     return True
 
 
-def oracle_gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
+def oracle_gram_obstruction(t: MemberPermutation) -> Optional[GramWitness]:
     mats = [materialize(op) for op in transformation_operators(t)]
 
     def tr(i, j):
@@ -229,7 +337,7 @@ def oracle_gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     return None
 
 
-def permutation_inducer(t: FiniteTransformation) -> Optional[Matrix]:
+def permutation_inducer(t: MemberPermutation) -> Optional[Matrix]:
     """Search for a coordinate-permutation unitary U with
     f(A) = U A U* for every member.
 
@@ -875,12 +983,12 @@ class LabelingTwin:
 @dataclass(frozen=True)
 class FiniteTransformationTwin:
     cls: ClassDescriptor
-    members: Tuple[Labeling, ...]
-    mapping: Tuple[int, ...]
+    a: Tuple[int, ...]
+    b: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "b", tuple(self.b))
 
 
 @_named_as(GramWitness)
