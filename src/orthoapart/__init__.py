@@ -36,10 +36,6 @@ from .apartments import (
     compute_S,
     decide_orthogonality_by_count,
     enumerate_members,
-    in_minus_minus,
-    in_orthocomplementary,
-    in_plus_minus,
-    in_plus_plus,
     is_orthogonally_inexact,
     lemma3_bound,
     member_count,
@@ -92,10 +88,6 @@ __all__ = [
     "standard_apartment",
     "member_count",
     "enumerate_members",
-    "in_plus_plus",
-    "in_minus_minus",
-    "in_plus_minus",
-    "in_orthocomplementary",
     "n_count",
     "lemma3_bound",
     "c_eval",

@@ -10,6 +10,12 @@ a scan of all member pairs reads member 0's (overlap, count) cells
 (pair_cells), computed by a transfer over its rows whose states do not grow
 with n.
 
+Inexactness is read from label columns: two frame lines lie in one S_i
+exactly when every member labels them alike, so one grouping of the lines
+by their column of labels decides is_orthogonally_inexact and compute_S.
+The type-(1) sets T_ij, the members labeling lines i and j alike, are the
+maximal inexact sets by an identity (verify_maximal_inexact).
+
 Labels, counts and pairings are the same in every apartment of a class, so
 only the functions that read frame lines (Labeling.to_operator, compute_S,
 rotated_frame, membership_labeling) take an Apartment; the rest take the class.
@@ -21,7 +27,7 @@ import math
 from itertools import accumulate
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation, Value
@@ -109,29 +115,32 @@ def member_count(cls: ClassDescriptor) -> int:
     return _multinomial(cls.dims + (cls.n - cls.rank,))
 
 
-def _member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
+def _member_assignments(cls: ClassDescriptor) -> Iterator[Tuple[Slot, ...]]:
     """The assignment tuples of all members of the class's apartments, in
-    lexicographic order (slots before None at every position), generated in
-    that order: position by position, each label with lines left, slots
-    first.  Labels do not depend on the frame, so this reads n and the dims."""
-    n, labels, left = cls.n, [*range(cls.m), None], [*cls.dims, cls.n - cls.rank]
-    results: List[Tuple[Slot, ...]] = []
-    assignment: List[Slot] = [None] * n
-
-    def fill(i: int):
-        live = [s for s, c in enumerate(left) if c]
-        if len(live) < 2:  # the rest of the positions are forced
-            assignment[i:] = [labels[s] for s in live for _ in range(left[s])]
-            results.append(tuple(assignment))
+    lexicographic order (slots before None at every position), yielded in
+    that order by a depth-first walk: position by position, each label with
+    lines left, slots first, the rest of the positions filled at once when
+    fewer than two labels have lines left.  Labels do not depend on the
+    frame, so this reads n and the dims."""
+    labels, left = [*range(cls.m), None], [*cls.dims, cls.n - cls.rank]
+    x: List[int] = []  # the label indices of the positions so far
+    label = 0  # the next label index to try at position len(x); 0 on arrival
+    while True:
+        if not label and sum(map(bool, left)) < 2:  # the rest is forced
+            yield tuple([labels[s] for s in x] + [labels[s] for s, c in enumerate(left) for _ in range(c)])
+            label = len(labels)
+        while label < len(labels) and not left[label]:
+            label += 1
+        if label < len(labels):
+            left[label] -= 1
+            x.append(label)
+            label = 0
+        elif x:
+            label = x.pop()
+            left[label] += 1
+            label += 1
+        else:
             return
-        for s in live:
-            left[s] -= 1
-            assignment[i] = labels[s]
-            fill(i + 1)
-            left[s] += 1
-
-    fill(0)
-    return results
 
 
 def enumerate_members(cls: ClassDescriptor) -> Iterator[Labeling]:
@@ -139,32 +148,6 @@ def enumerate_members(cls: ClassDescriptor) -> Iterator[Labeling]:
     lexicographic order of the assignment tuple (slots before None)."""
     for a in _member_assignments(cls):
         yield Labeling(a)
-
-
-# ---------------------------------------------------------------------------
-# subset predicates (the families A(+i,+j), A(-i,-j), A(+i,-j), C_ij)
-
-def in_plus_plus(a: Labeling, p: PairIndex) -> bool:
-    """Some maximal eigenspace contains both frame lines i and j."""
-    si, sj = a.slot(p.i), a.slot(p.j)
-    return si is not None and si == sj
-
-
-def in_minus_minus(a: Labeling, p: PairIndex) -> bool:
-    """The image is orthogonal to the plane spanned by lines i and j."""
-    return a.slot(p.i) is None and a.slot(p.j) is None
-
-
-def in_plus_minus(a: Labeling, i: int, j: int) -> bool:
-    """Some maximal eigenspace contains line i and does not contain line j."""
-    si = a.slot(i)
-    return si is not None and si != a.slot(j)
-
-
-def in_orthocomplementary(a: Labeling, p: PairIndex) -> bool:
-    """Membership in C_ij = A(+i,-j) union A(+j,-i); coincides with the
-    complement of A(+i,+j) union A(-i,-j)."""
-    return in_plus_minus(a, p.i, p.j) or in_plus_minus(a, p.j, p.i)
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +285,32 @@ def c_eval(x, k: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # orthogonally inexact subsets
 
-def _support_indices(i: int, members: Sequence[Labeling], n: int) -> Set[int]:
-    """Index support of S_i: intersect, over the given members, the
-    eigenspace containing line i (when line i is in the image) or the
-    orthocomplement of the image (when it is not)."""
-    s = set(range(n))
-    for a in members:
-        t = a.slot(i)
-        s &= {j for j, u in enumerate(a.assignment) if u == t}
-    return s
+def _line_groups(members: Sequence[Labeling], n: int) -> List[List[int]]:
+    """The frame lines grouped by their column of labels, one label per
+    member, each group ascending and the groups in order of their least
+    line.  Lines i and j lie in one S_i exactly when every member gives them
+    the same label, so the group of i spans S_i.  With no members, one group
+    holds every line."""
+    groups: Dict[Tuple[Slot, ...], List[int]] = {}
+    columns = zip(*(a.assignment for a in members)) if members else [()] * n
+    for i, column in enumerate(columns):
+        groups.setdefault(column, []).append(i)
+    return list(groups.values())
 
 
 def compute_S(i: int, members: Sequence[Labeling], ap: Apartment) -> Subspace:
     """The subspace S_i: intersection of every maximal eigenspace of a
     member containing line i with every image-orthocomplement of a member
-    whose image misses line i.  Spanned by frame lines; contains line i;
-    the full space for an empty member set."""
+    whose image misses line i.  Spanned by the frame lines that every member
+    labels as it labels line i; contains line i; the full space for an
+    empty member set."""
     n = ap.cls.n
     if not 0 <= i < n:
         raise OrthoapartError(f"frame index {i} out of range")
     for a in members:
         a.validate(ap.cls)
-    support = _support_indices(i, members, n)
-    vecs = []
-    for j in sorted(support):
-        vecs.append(ap.frame.lines[j].line_vector())
-    return projection_of(vecs, ambient_dim=n)
+    group = next(g for g in _line_groups(members, n) if i in g)
+    return projection_of([ap.frame.lines[j].line_vector() for j in group], ambient_dim=n)
 
 
 def is_orthogonally_inexact(
@@ -335,47 +318,41 @@ def is_orthogonally_inexact(
 ) -> Tuple[bool, Optional[PairIndex]]:
     """Decide whether some other apartment contains the whole member set.
 
-    Inexact iff some S_i has dimension >= 2; the returned witness pair
-    (i, j) satisfies: the set lies inside A(+i,+j) union A(-i,-j).  When
-    exact, every S_i is a single line and the apartment is unique.  Only
-    the labels are read, so no frame is needed.
+    Inexact iff some S_i has dimension >= 2, that is iff two frame lines
+    carry the same label in every member.  The witness (i, j) is the least
+    line i of the first group of such lines and the next line j of that
+    group, and the set lies inside A(+i,+j) union A(-i,-j).  When exact,
+    every S_i is a single line and the apartment is unique.  Only the labels
+    are read, in one pass over the members, so no frame is needed.
     """
     if not members:
         # every S_i is the whole space
         return (True, PairIndex(0, 1)) if cls.n >= 2 else (False, None)
     for a in members:
         a.validate(cls)
-    for i in range(cls.n):
-        support = _support_indices(i, members, cls.n)
-        if len(support) >= 2:
-            j = min(x for x in support if x != i)
-            return True, PairIndex(i, j)
-    return False, None
+    group = next((g for g in _line_groups(members, cls.n) if len(g) >= 2), None)
+    return (False, None) if group is None else (True, PairIndex(group[0], group[1]))
 
 
 def type_one_subset(p: PairIndex, cls: ClassDescriptor) -> List[Labeling]:
-    """The maximal orthogonally inexact set A(+i,+j) union A(-i,-j)."""
-    return [
-        a
-        for a in enumerate_members(cls)
-        if in_plus_plus(a, p) or in_minus_minus(a, p)
-    ]
+    """The maximal orthogonally inexact set A(+i,+j) union A(-i,-j): the
+    members that label lines i and j alike."""
+    return [a for a in enumerate_members(cls) if a.slot(p.i) == a.slot(p.j)]
 
 
 def verify_maximal_inexact(p: PairIndex, cls: ClassDescriptor) -> bool:
-    """Check that the type-(1) set at pair p is orthogonally inexact and
-    that every single-member extension is exact.  Exhaustive."""
-    base = type_one_subset(p, cls)
-    inexact, _ = is_orthogonally_inexact(base, cls)
-    if not inexact:
-        return False
-    base_keys = {a.assignment for a in base}
-    for a in enumerate_members(cls):
-        if a.assignment in base_keys:
-            continue
-        extended, _ = is_orthogonally_inexact(base + [a], cls)
-        if extended:
-            return False
+    """Check that the type-(1) set T_p at pair p is orthogonally inexact and
+    that every single-member extension is exact.  Always True for a pair of
+    frame lines, by identity.
+
+    A member set is inexact iff two lines i, j carry the same label in every
+    member, that is iff it lies inside T_ij (with no members, iff n >= 2).
+    So T_p is inexact.  S_n acts on the members and takes any pair of lines
+    to any other, so every T_q has the same size, and T_p inside T_q forces
+    T_p = T_q.  A member x outside T_p therefore leaves T_p + {x} inside no
+    T_q: every single-member extension is exact."""
+    if not 0 <= p.i < p.j < cls.n:
+        raise OrthoapartError(f"pair ({p.i}, {p.j}) is not a pair of frame lines 0..{cls.n - 1}")
     return True
 
 

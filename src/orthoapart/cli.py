@@ -290,9 +290,8 @@ def _scan_boundary_from_args(args) -> dict:
     return cmd_scan_boundary(_parse_dims(args.dims), _parse_alphas(args.alphas), n_range)
 
 
-def _emit(report: dict, args) -> int:
+def _emit(report: dict, payload: str, args) -> int:
     violations = report.get("violations", [])
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     summary = f"{report['command']}: {'OK' if not violations else 'FAIL'} ({len(violations)} violations)"
     if args.out:
         with open(args.out, "w") as fh:
@@ -356,6 +355,8 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         report = COMMANDS[args.command][1](args)
+        # a count too long for str() raises ValueError here, before any output
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     except IncompatibleFamily as exc:
         print(f"incompatible family: pair {exc.pair}", file=sys.stderr)
         sys.stdout.write(
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
     except (OrthoapartError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(report, args)
+    return _emit(report, payload, args)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .apartments import _multinomial, member_count
+from .apartments import _multinomial
 from .compatibility import split_into_lines
 from .errors import (
     NoRoom,
@@ -38,7 +38,8 @@ from .subspaces import Subspace, span_sum
 
 # gram_obstruction walks at most min(M, (m + 1)^k) blocks, each O(k) work,
 # and refuses a class over this many before it starts.  Every class of at
-# most 2,000 members is accepted.
+# most 2,000 members is accepted.  The refusal states the count up to
+# MAX_BLOCKS ** 3 and computes no larger number.
 MAX_BLOCKS = 2000
 
 
@@ -124,6 +125,20 @@ def check_preservation(t: FiniteTransformation, relation: str) -> bool:
     return {"commute": True, "orthogonal": True}[relation]
 
 
+def _capped_multinomial(parts: Sequence[int], cap: int) -> int:
+    """sum(parts)! / prod(p!), or cap + 1 when that is more.  Each binomial
+    C(s, p) is built one factor at a time from its smaller side, so the
+    running product only grows and stops as soon as it passes cap."""
+    result, total = 1, 0
+    for p in parts:
+        total += p
+        for i in range(min(p, total - p)):
+            result = result * (total - i) // (i + 1)
+            if result > cap:
+                return cap + 1
+    return result
+
+
 def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     """First member pair (s, u) with tr(A_s A_u) != tr(f(A_s) f(A_u)), or
     None.  A witness rules out every unitary and anti-unitary inducer, both
@@ -140,9 +155,12 @@ def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     witness heads the first other block whose two pairings differ.  A class
     of more than MAX_BLOCKS possible blocks is refused before the walk."""
     cls, k, m = t.cls, t.cls.rank, t.cls.m
-    blocks = min(member_count(cls), (m + 1) ** k)
+    cap = MAX_BLOCKS ** 3
+    # (m + 1)^e > cap once e reaches cap's bit length, as m + 1 >= 2
+    blocks = min(_capped_multinomial(cls.dims + (cls.n - k,), cap), (m + 1) ** min(k, cap.bit_length()))
     if blocks > MAX_BLOCKS:
-        raise OrthoapartError(f"the witness walk may visit {blocks} blocks, the lesser of "
+        stated = f"more than {cap}" if blocks > cap else blocks
+        raise OrthoapartError(f"the witness walk may visit {stated} blocks, the lesser of "
                               f"M and (m + 1)^k, over the limit {MAX_BLOCKS}")
     # eigenvalues times a common denominator, so pairings sum integers; None is label m
     den = math.lcm(*(x.denominator for x in cls.alphas))

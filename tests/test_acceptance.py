@@ -48,6 +48,7 @@ from util import (
     labelings_orthogonal,
     matrices_commute,
     matrices_orthogonal,
+    oracle_verify_maximal_inexact,
     random_frame,
     random_labeling,
     random_operator,
@@ -159,12 +160,13 @@ def test_acceptance_4_boundary_coincidence_and_scan(capsys):
 def test_acceptance_5_type_one_sets_maximally_inexact(capsys):
     # n = 8, k = 2, multiplicities (1, 1): for every index pair the
     # two-sided set is orthogonally inexact and every single-member
-    # extension is exact
+    # extension is exact, by the identity and by the exhaustive oracle
     cls = cls_of(8, (1, 1))
     pairs = [PairIndex(i, j) for i in range(8) for j in range(i + 1, 8)]
     assert len(pairs) == 28
     for p in pairs:
         assert verify_maximal_inexact(p, cls)
+        assert oracle_verify_maximal_inexact(p, cls)
     report(
         capsys,
         "ACCEPTANCE 5: PASS — all 28 index pairs at n=8, k=2 give maximally "

@@ -1,7 +1,9 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,10 +18,6 @@ from orthoapart import (
     decide_orthogonality_by_count,
     enumerate_members,
     image_of,
-    in_minus_minus,
-    in_orthocomplementary,
-    in_plus_minus,
-    in_plus_plus,
     intersect,
     is_orthogonally_inexact,
     lemma3_bound,
@@ -45,13 +43,21 @@ from util import (
     compositions,
     first_member_rank,
     image_overlap,
+    in_minus_minus,
+    in_orthocomplementary,
+    in_plus_minus,
+    in_plus_plus,
     labelings_orthogonal,
     member_tables,
+    oracle_is_orthogonally_inexact,
     oracle_joint_table,
     oracle_member_assignments,
     oracle_member_row,
     oracle_n_count,
+    oracle_support_indices,
+    oracle_verify_maximal_inexact,
     random_frame,
+    random_labeling,
 )
 
 
@@ -75,8 +81,21 @@ def test_member_order_matches_sorted_oracle():
         for dims in compositions(k):
             for n in range(k, 9):
                 cls = cls_of(n, dims)
-                assert _member_assignments(cls) == oracle_member_assignments(cls), cls
-    assert _member_assignments(ClassDescriptor(0, (), ())) == [()]
+                assert list(_member_assignments(cls)) == oracle_member_assignments(cls), cls
+    assert list(_member_assignments(ClassDescriptor(0, (), ()))) == [()]
+
+
+def test_member_walk_is_iterative_and_lazy():
+    # one frame line per step of a loop, not per level of recursion: n = 1000
+    # is past the interpreter's recursion limit, and the first member comes
+    # before the rest are built
+    cls = ClassDescriptor(1000, (Fraction(1),), (1,))
+    members = [a.assignment for a in enumerate_members(cls)]
+    assert len(members) == member_count(cls) == 1000
+    assert [a.index(0) for a in members] == list(range(1000))
+    assert len(type_one_subset(PairIndex(0, 999), cls)) == 998
+    huge = cls_of(10 ** 6, (1, 1, 1))
+    assert next(_member_assignments(huge))[:4] == (0, 1, 2, None)
 
 
 def test_member_count_examples():
@@ -242,6 +261,66 @@ def test_is_orthogonally_inexact():
     inexact, witness = is_orthogonally_inexact(t1, cls)
     assert inexact
     assert {witness.i, witness.j} == {2, 5}
+
+
+def small_classes(n_max):
+    """Every class with 1 <= k <= n <= n_max, one per composition of k."""
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for dims in compositions(k):
+                yield cls_of(n, dims)
+
+
+def test_line_groups_match_support_intersection_oracle():
+    # every class with n <= 5, on the empty set, every subset of one or two
+    # members and every prefix of the member list: the decision and witness
+    # against the support intersection they replace; compute_S for every i
+    # against the span of the oracle's support, on every such subset for
+    # n <= 4 and on the empty set and the prefixes for n = 5 (the rest of
+    # n = 5 is about 150,000 spans, some 10 s)
+    checked, spans = 0, {}
+    for cls in small_classes(5):
+        ap = standard_apartment(cls)
+        members = list(enumerate_members(cls))
+        prefixes = [members[:j] for j in range(1, len(members) + 1)]
+        small = [[a] for a in members] + [list(pair) for pair in combinations(members, 2)]
+        for subset in [[]] + prefixes + small:
+            assert is_orthogonally_inexact(subset, cls) == oracle_is_orthogonally_inexact(subset, cls)
+            checked += 1
+        for subset in [[]] + prefixes + (small if cls.n <= 4 else []):
+            for i in range(cls.n):
+                support = frozenset(oracle_support_indices(i, subset, cls.n))
+                if (cls.n, support) not in spans:
+                    spans[cls.n, support] = Subspace.coordinate(cls.n, support)
+                assert compute_S(i, subset, ap) == spans[cls.n, support]
+    assert checked == 36035
+
+
+def test_verify_maximal_inexact_matches_exhaustive_oracle():
+    # every pair of every class with n <= 5: the identity against the walk
+    # over every single-member extension
+    pairs = 0
+    for cls in small_classes(5):
+        for i, j in combinations(range(cls.n), 2):
+            p = PairIndex(i, j)
+            assert verify_maximal_inexact(p, cls) is oracle_verify_maximal_inexact(p, cls) is True
+            pairs += 1
+    assert pairs == 424
+    for p in (PairIndex(0, 6), PairIndex(-1, 2), PairIndex(6, 7)):
+        with pytest.raises(OrthoapartError, match="is not a pair of frame lines"):
+            verify_maximal_inexact(p, cls_of(6, (1, 2)))
+
+
+def test_inexact_reads_each_label_once():
+    # 2,000 members at n = 200: one pass over the label columns, where the
+    # support intersection took about 6 s
+    cls = cls_of(200, (1, 2))
+    rng = random.Random(17)
+    members = [random_labeling(cls, rng) for _ in range(2000)]
+    start = time.perf_counter()
+    assert is_orthogonally_inexact(members, cls) == (False, None)
+    assert is_orthogonally_inexact(members[:3], cls) == (True, PairIndex(0, 1))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_inexact_without_members_decides_from_n():

@@ -145,10 +145,16 @@ def test_counterexample_materializes_no_operator(monkeypatch):
 
 @pytest.mark.parametrize("name, n, dims, blocks", [("orth", 9, "1,1,1,1,1,1,1,1", 362880),
                                                    ("orth", 10 ** 9, "1,1,1,1,1,1,1,1", 9 ** 8),
-                                                   ("comm", 10, "4,4", 3150)])
+                                                   ("comm", 10, "4,4", 3150),
+                                                   ("comm", 2 * 10 ** 6, "1000000,1000000", None),
+                                                   ("comm", 10 ** 5, "50000,50000", None),
+                                                   pytest.param("orth", 2000, ",".join(["1"] * 2000), None,
+                                                                id="orth-2000-1x2000-None")])
 def test_counterexample_refuses_too_many_blocks(name, n, dims, blocks, capsys):
     # the witness walk may visit min(M, (m + 1)^k) blocks, checked before it
-    # starts; comm 4,4 is accepted at n = 9 (630 members)
+    # starts; comm 4,4 is accepted at n = 9 (630 members).  Past MAX_BLOCKS^3
+    # the count is not computed, since M and (m + 1)^k may have millions of digits
+    blocks = f"more than {MAX_BLOCKS ** 3}" if blocks is None else blocks
     alphas = ",".join(str(i + 1) for i in range(dims.count(",") + 1))
     start = time.perf_counter()
     assert main(["counterexample", name, "--n", str(n), "--alphas", alphas, "--dims", dims]) == 2
@@ -654,6 +660,20 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nested too deeply" in captured.err, argv
+
+
+@pytest.mark.parametrize("command", [["verify-lemma3"], ["verify-lemma4"], ["counterexample", "orth"]])
+def test_report_too_long_to_write_exits_2(command, tmp_path, capsys):
+    # at n = 10^2200 a count has over 4,300 digits, which str() refuses while
+    # the report is serialized: an input error, with no partial --out file
+    out = tmp_path / "report.json"
+    argv = command + ["--n", str(10 ** 2200), "--alphas", "1,2", "--dims", "1,1"]
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "digits" in captured.err
+    assert not out.exists()
 
 
 JSON = st.recursive(

@@ -607,6 +607,74 @@ def oracle_member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# the subset predicates A(+i,+j), A(-i,-j), A(+i,-j) and C_ij, one member at
+# a time, and inexactness by intersecting one support set per line and member
+
+def in_plus_plus(a: Labeling, p: PairIndex) -> bool:
+    """Some maximal eigenspace contains both frame lines i and j."""
+    si, sj = a.slot(p.i), a.slot(p.j)
+    return si is not None and si == sj
+
+
+def in_minus_minus(a: Labeling, p: PairIndex) -> bool:
+    """The image is orthogonal to the plane spanned by lines i and j."""
+    return a.slot(p.i) is None and a.slot(p.j) is None
+
+
+def in_plus_minus(a: Labeling, i: int, j: int) -> bool:
+    """Some maximal eigenspace contains line i and does not contain line j."""
+    si = a.slot(i)
+    return si is not None and si != a.slot(j)
+
+
+def in_orthocomplementary(a: Labeling, p: PairIndex) -> bool:
+    """Membership in C_ij = A(+i,-j) union A(+j,-i); coincides with the
+    complement of A(+i,+j) union A(-i,-j)."""
+    return in_plus_minus(a, p.i, p.j) or in_plus_minus(a, p.j, p.i)
+
+
+def oracle_support_indices(i: int, members: Sequence[Labeling], n: int) -> set:
+    """Index support of S_i: intersect, over the given members, the
+    eigenspace containing line i (when line i is in the image) or the
+    orthocomplement of the image (when it is not)."""
+    s = set(range(n))
+    for a in members:
+        t = a.slot(i)
+        s &= {j for j, u in enumerate(a.assignment) if u == t}
+    return s
+
+
+def oracle_is_orthogonally_inexact(members: Sequence[Labeling], cls: ClassDescriptor):
+    """Inexact iff some S_i has two or more lines; the witness is the least
+    such i and the least other line of its support."""
+    for a in members:
+        a.validate(cls)
+    for i in range(cls.n):
+        support = oracle_support_indices(i, members, cls.n)
+        if len(support) >= 2:
+            return True, PairIndex(i, min(x for x in support if x != i))
+    return False, None
+
+
+def oracle_type_one_subset(p: PairIndex, cls: ClassDescriptor) -> List[Labeling]:
+    """A(+i,+j) union A(-i,-j), read by the two predicates."""
+    return [a for a in enumerate_members(cls) if in_plus_plus(a, p) or in_minus_minus(a, p)]
+
+
+def oracle_verify_maximal_inexact(p: PairIndex, cls: ClassDescriptor) -> bool:
+    """The type-(1) set at p is inexact and every single-member extension is
+    exact, checked over every member of the class."""
+    base = oracle_type_one_subset(p, cls)
+    if not oracle_is_orthogonally_inexact(base, cls)[0]:
+        return False
+    base_keys = {a.assignment for a in base}
+    return not any(
+        oracle_is_orthogonally_inexact(base + [a], cls)[0]
+        for a in enumerate_members(cls) if a.assignment not in base_keys
+    )
+
+
+# ---------------------------------------------------------------------------
 # the matrix kernel before integer numerators: one Fraction pair per entry
 
 class OracleMatrix:
