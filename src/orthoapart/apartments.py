@@ -24,6 +24,7 @@ rotated_frame, membership_labeling) take an Apartment; the rest take the class.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
 from functools import lru_cache
@@ -85,10 +86,11 @@ class Labeling(Value):
         a = self.assignment
         if len(a) != cls.n:
             raise NotAMember(f"labeling length {len(a)} in an apartment of dimension {cls.n}")
+        counts = Counter(a)
         for t, d in enumerate(cls.dims):
-            if a.count(t) != d:
+            if counts[t] != d:
                 raise NotAMember(f"slot {t} does not receive exactly {d} frame lines")
-        if a.count(None) != cls.n - cls.rank:  # so some entry is neither a slot nor None
+        if counts[None] != cls.n - cls.rank:  # so some entry is neither a slot nor None
             i = next(i for i, s in enumerate(a) if s is not None and s not in range(cls.m))
             raise NotAMember(f"frame line {i} has label {a[i]!r}, neither a slot nor None")
 

@@ -5,15 +5,20 @@ All reports are JSON with a stable schema_version field and deterministic
 contents (sorted aggregation; the same arguments reproduce a
 byte-identical report).  Exit codes: 0 = no violations, 1 = violations
 found, 2 = configuration error.
+
+The command line is defined once, by the COMMANDS and ARGUMENTS tables.
+A well-formed command is read straight from them; argparse, which builds
+the same language from the same tables, is imported only to write help,
+usage and error text for every other argv.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 from . import serialize
 from .apartments import (
@@ -330,29 +335,73 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: List[str]) -> argparse.ArgumentParser:
-    """The parser for argv.  Every subcommand is registered, but only the one
-    argv names gets its arguments: the top level takes no option but -h, so
-    its first token that is not an option is the subcommand."""
+def _read_args(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for argv, when argv has the plain shape:
+    a subcommand, then its own options as --name=value or --name value (a
+    value that is not empty and does not start with -) and exactly its
+    positionals (each not empty and not starting with -), a repeated option
+    keeping its last value.  Every other argv, help and errors included,
+    gives None and is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    names = COMMANDS[argv[0]][0] + ("--out",)
+    read = {name: None for name in names if name.startswith("--")}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in read:
+            if token[:1] in ("", "-"):
+                return None
+            positionals.append(token)
+            continue
+        if not eq:
+            value = next(tokens, "")
+            if value[:1] in ("", "-"):
+                return None
+        elif value == "--":  # argparse before 3.13 reads --name=-- as []
+            return None
+        try:
+            read[name] = ARGUMENTS[name].get("type", str)(value)
+        except ValueError:
+            return None
+    declared = [name for name in names if name not in read]
+    if len(positionals) != len(declared):
+        return None
+    read.update(zip(declared, positionals))
+    for name, value in read.items():
+        spec = ARGUMENTS[name]
+        missing = value is None and spec.get("required")
+        if missing or "choices" in spec and value not in spec["choices"]:
+            return None
+    return SimpleNamespace(command=argv[0], **{
+        name.lstrip("-").replace("-", "_"): value for name, value in read.items()})
+
+
+def build_parser():
+    """The argparse parser for the tables, used only for help, usage and
+    errors: main reads a well-formed argv without it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orthoapart",
         description="Exact verification toolkit for orthogonal apartments of "
         "conjugacy classes of finite-rank self-adjoint operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((a for a in argv if not a.startswith("-")), None)
     for command, (names, _) in COMMANDS.items():
         # no prefix matching: scan-boundary --n must not read as --n-range
         p = sub.add_parser(command, allow_abbrev=False)
-        if command == named:
-            for name in names + ("--out",):
-                p.add_argument(name, **ARGUMENTS[name])
+        for name in names + ("--out",):
+            p.add_argument(name, **ARGUMENTS[name])
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         report = COMMANDS[args.command][1](args)
         # a count too long for str() raises ValueError here, before any output

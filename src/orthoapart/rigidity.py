@@ -21,6 +21,7 @@ witness walk reads only x's labels on those lines.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -57,7 +58,7 @@ class FiniteTransformation(Value):
         object.__setattr__(self, "b", tuple(b))
         if self.a != _first_member(cls):
             raise OrthoapartError("a must label the first k frame lines with the slots in order")
-        if len(self.b) != cls.rank or [self.b.count(t) for t in range(cls.m)] != list(cls.dims):
+        if Counter(self.b) != Counter(self.a):
             raise OrthoapartError("b must label the first k frame lines with the slots of a")
 
 

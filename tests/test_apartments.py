@@ -134,6 +134,17 @@ def test_labeling_validation():
             Labeling((0, 1, bad, None)).validate(ap.cls)
 
 
+def test_validation_is_linear_in_n():
+    # one count per member, not one per slot: 100 members at n = 1000 with
+    # 1,000 one-dimensional slots
+    cls = cls_of(1000, (1,) * 1000)
+    rng = random.Random(3)
+    members = [Labeling(tuple(rng.sample(range(1000), 1000))) for _ in range(100)]
+    start = time.perf_counter()
+    assert is_orthogonally_inexact(members, cls) == (False, None)
+    assert time.perf_counter() - start < 0.3
+
+
 def test_predicates():
     # d = (2,): one eigenspace of dimension two
     proj_ap = standard_apartment(cls_of(4, (2,), (Fraction(1),)))

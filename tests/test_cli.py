@@ -1,3 +1,7 @@
+import contextlib
+import functools
+import io
+import itertools
 import json
 import math
 import os
@@ -149,7 +153,10 @@ def test_counterexample_materializes_no_operator(monkeypatch):
                                                    ("comm", 2 * 10 ** 6, "1000000,1000000", None),
                                                    ("comm", 10 ** 5, "50000,50000", None),
                                                    pytest.param("orth", 2000, ",".join(["1"] * 2000), None,
-                                                                id="orth-2000-1x2000-None")])
+                                                                id="orth-2000-1x2000-None"),
+                                                   # b's check is O(k), before the bound is read
+                                                   pytest.param("orth", 20000, ",".join(["1"] * 20000), None,
+                                                                id="orth-20000-1x20000-None")])
 def test_counterexample_refuses_too_many_blocks(name, n, dims, blocks, capsys):
     # the witness walk may visit min(M, (m + 1)^k) blocks, checked before it
     # starts; comm 4,4 is accepted at n = 9 (630 members).  Past MAX_BLOCKS^3
@@ -372,7 +379,9 @@ def test_cli_surface_matches_parent_golden(tmp_path):
     recorded from `python -m orthoapart.cli` before the parser was built per
     call.  Each case runs in a fresh process, so main(None) reads sys.argv,
     with the golden's input files in its working directory; the exit code,
-    both streams and any --out report must match byte for byte."""
+    both streams and any --out report must match byte for byte.  Python
+    3.13 wraps argparse usage lines differently: a case's "python3.13"
+    fields hold the bytes recorded with Python 3.13.0."""
     with open(USAGE_GOLDEN) as fh:
         golden = json.load(fh)
     for name, body in golden["files"].items():
@@ -387,21 +396,111 @@ def test_cli_surface_matches_parent_golden(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True)
         got = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
                "report": report.read_text() if report.exists() else None}
-        assert got == {key: case[key] for key in got}, case["name"]
+        want = {key: case[key] for key in got}
+        if sys.version_info >= (3, 13):
+            want.update(case.get("python3.13", {}))
+        assert got == want, case["name"]
 
 
 def test_cli_import_is_lean():
     """A fresh interpreter importing the CLI loads none of the introspection
-    modules that dataclasses pulls in; what site already loaded is not
-    counted."""
+    modules that dataclasses pulls in, and running a well-formed command
+    loads no argparse (nor the gettext and locale it uses): main reads that
+    command from the tables.  What site already loaded is not counted."""
     code = ("import json, sys; before = set(sys.modules); import orthoapart.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
+            "imported = set(sys.modules) - before; orthoapart.cli.main(sys.argv[1:]); "
+            "print(json.dumps([sorted(imported), sorted(set(sys.modules) - before)]), file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
-    loaded = set(json.loads(proc.stdout))
-    assert "orthoapart.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    proc = subprocess.run([sys.executable, "-c", code, "verify-lemma3", *VALID_ARGV["verify-lemma3"]],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported, ran = (set(names) for names in json.loads(proc.stderr.splitlines()[-1]))
+    assert "orthoapart.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not ran & {"argparse", "gettext", "locale"}
+
+
+# ---------------------------------------------------------------------------
+# the table read against argparse
+
+# a valid value of each argument
+TABLE_VALUES = {"name": "orth", "family": "family.json", "members": "members.json", "--n": "6",
+                "--alphas": "1,2", "--dims": "1,1", "--frame": "frame.json", "--n-range": "5:7",
+                "--out": "report.json"}
+ARGV_VALUES = ["", "-3", "-1,2", " 7", "1_0", "a b", "orth", "x", "--", "6", "5:7", "="]
+ARGV_OPTIONS = [name for name in cli.ARGUMENTS if name.startswith("--")] + ["--alph", "--n-r"]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_parser():
+    return cli.build_parser()
+
+
+def _argparse_reads(argv):
+    """vars() of the full parser's namespace, or None where argparse exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_full_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@st.composite
+def argvs(draw):
+    """A first token, then either random tokens or a subcommand's own
+    arguments in random order and form, some repeated."""
+    option = st.sampled_from(ARGV_OPTIONS)
+    value = st.sampled_from(ARGV_VALUES)
+    if draw(st.booleans()):
+        first = draw(st.sampled_from(list(cli.COMMANDS) + ["bogus", "-h"]))
+        token = st.one_of(option, value, st.sampled_from(["--", "-h", "--help"]),
+                          st.builds("{}={}".format, option, value))
+        return [first] + draw(st.lists(token, max_size=8))
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    names = draw(st.lists(st.sampled_from(cli.COMMANDS[command][0] + ("--out",)), max_size=7))
+    rest = []
+    for name in names:
+        v = draw(st.one_of(st.just(TABLE_VALUES[name]), value))
+        if not name.startswith("-"):
+            rest.append(v)
+        elif draw(st.booleans()):
+            rest.append(f"{name}={v}")
+        else:
+            rest += [name, v]
+    return [command] + rest
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_table_read_agrees_with_argparse(argv):
+    read = cli._read_args(argv)
+    assert read is None or vars(read) == _argparse_reads(argv), argv
+
+
+def test_table_reads_every_well_formed_command():
+    """So that a read declining everything cannot pass the test above:
+    each subcommand with every subset of its options, in both forms, with
+    its positionals first or last."""
+    # only the "=" form takes a value starting with -, as the bench's --alphas do
+    forms = (lambda name: [name, TABLE_VALUES[name]],
+             lambda name: [f"{name}={'-1,2' if name == '--alphas' else TABLE_VALUES[name]}"])
+    read = 0
+    for command, (names, _) in cli.COMMANDS.items():
+        names += ("--out",)
+        positionals = [TABLE_VALUES[name] for name in names if not name.startswith("-")]
+        required = [name for name in names if cli.ARGUMENTS[name].get("required")]
+        optional = [name for name in names if name.startswith("-") and name not in required]
+        for size in range(len(optional) + 1):
+            for subset in itertools.combinations(optional, size):
+                for form in forms:
+                    options = [token for name in required + list(subset) for token in form(name)]
+                    for argv in ([command, *positionals, *options], [command, *options, *positionals]):
+                        table = cli._read_args(argv)
+                        assert table is not None, argv
+                        assert vars(table) == _argparse_reads(argv), argv
+                        read += 1
+    # two forms, two places for the positionals, 2^(optional options) subsets
+    assert read == 2 * 2 * (32 + 32 + 8 + 16 + 4 + 4)
 
 
 def test_readme_python_blocks_run(capsys):
