@@ -401,7 +401,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # argparse before 3.13 reads --name=-- as the list []
+        for name in [name for name, value in vars(args).items() if value == []]:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         report = COMMANDS[args.command][1](args)
         # a count too long for str() raises ValueError here, before any output

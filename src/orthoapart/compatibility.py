@@ -13,10 +13,12 @@ zero nor P_Y, and finally split each block into orthogonal lines.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, Value
-from .subspaces import Subspace, orthogonal_columns
+from .matrices import column_inner, gram_schmidt, projection_matrix
+from .subspaces import Subspace
 
 
 class Frame(Value):
@@ -34,12 +36,11 @@ class Frame(Value):
         for line in self.lines:
             if line.ambient_dim != n or line.dim != 1:
                 raise OrthoapartError("frame members must be lines of the ambient space")
-        # pairwise orthogonality of lines via spanning-vector inner products
-        cols = [x.proj.select_columns(x.proj.nonzero_columns()[:1]) for x in self.lines]
+        # pairwise orthogonality of lines, on the integers of spanning columns
+        cols = [x.proj.lead_column()[1] for x in self.lines]
         for i in range(n):
-            row = cols[i].adjoint()
             for j in range(i + 1, n):
-                if not (row @ cols[j]).is_zero():
+                if any(column_inner(cols[i], cols[j])):
                     raise OrthoapartError(f"frame lines {i} and {j} are not orthogonal")
 
     @classmethod
@@ -61,13 +62,12 @@ projections_commute = is_compatible
 def split_into_lines(block: Subspace) -> List[Subspace]:
     """Split a subspace into pairwise orthogonal lines spanning it.
 
-    Uses fraction-free Gram-Schmidt, so the lines stay rational; the
-    arbitrary choice is fixed by the pivot basis of the block.  A line's
-    projection is u u* / (u* u).
+    Uses fraction-free Gram-Schmidt on the columns of the projection, so the
+    lines stay rational and come from its pivot columns, the dependent ones
+    reducing to zero.  A line's projection is u u* / (u* u).
     """
-    p = block.proj
-    us = orthogonal_columns(p.select_columns(p.rref()[1]))
-    return [Subspace((u @ u.adjoint()).scale(1 / (u.adjoint() @ u).trace().re)) for u in us]
+    us = gram_schmidt(block.proj.integer_columns())
+    return [Subspace(projection_matrix([u], block.ambient_dim)) for u in islice(us, block.dim)]
 
 
 def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:

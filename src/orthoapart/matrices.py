@@ -9,14 +9,17 @@ entry of each column, serves `rref`, `kernel_basis`, `column_space_basis`
 and `inverse`; a complex matrix is eliminated as its real embedding, a + bi
 becoming [[a, -b], [b, a]], whose reduced form embeds the complex one (so
 complex column j is a pivot iff real column 2j is).  Matrices are immutable.
+Projections need no elimination: `gram_schmidt` orthogonalizes integer
+columns, and `projection_matrix` sums P = sum (L/d) u u* over L = lcm(d = u*u).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import GaussianRational, ONE, ZERO, _make as _scalar, as_scalar
@@ -161,14 +164,14 @@ class Matrix:
         pick = lambda x: x and [[r[j] for j in js] for r in x]  # noqa: E731
         return Matrix._make(self._den, pick(self._re), pick(self._im), self.rows, len(js))
 
-    def primitive(self) -> "Matrix":
-        """The multiple with coprime integer entries (zero stays zero)."""
-        g = gcd(*chain.from_iterable(self._re), *chain.from_iterable(self._im or ()))
-        return Matrix._make(g or 1, self._re, self._im, self.rows, self.cols)
+    def integer_columns(self) -> Iterator[tuple]:
+        """The columns' numerators over the one denominator."""
+        return zip(zip(*self._re), repeat(None) if self._im is None else zip(*self._im))
 
-    def nonzero_columns(self) -> List[int]:
-        rows = self._re + (self._im or ())
-        return [j for j in range(self.cols) if any(r[j] for r in rows)]
+    def lead_column(self) -> Tuple[int, tuple]:
+        """The index and the numerators (re, im) of the first nonzero column."""
+        return next((j, (re, im)) for j, (re, im) in enumerate(self.integer_columns())
+                    if any(re) or im and any(im))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -206,10 +209,6 @@ class Matrix:
         im = _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
         return Matrix._make(self._den * other._den, re, im, self.rows, n)
 
-    def apply(self, v: Sequence) -> Vector:
-        v = vector(v)  # a length mismatch raises DimensionMismatch in the product
-        return (self @ (Matrix([[x] for x in v]) if v else Matrix.zeros(0, 1))).column(0)
-
     def transpose(self) -> "Matrix":
         flip = lambda x: None if x is None else list(zip(*x)) or [()] * self.cols  # noqa: E731
         return Matrix._make(self._den, flip(self._re), flip(self._im), self.cols, self.rows)
@@ -240,9 +239,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return self._im is None and not any(map(any, self._re))
-
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self == self.adjoint()
 
     # -- elimination -------------------------------------------------------
 
@@ -321,6 +317,59 @@ class Matrix:
     def _same_shape(self, other: "Matrix"):
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} vs {other.shape}")
+
+
+def column_inner(u: Sequence, v: Sequence) -> Tuple[int, int]:
+    """The real and imaginary parts of u*v, for columns (re, im, ...)."""
+    dot = lambda x, y: 0 if x is None or y is None else sum(map(mul, x, y))  # noqa: E731
+    return dot(u[0], v[0]) + dot(u[1], v[1]), dot(u[0], v[1]) - dot(u[1], v[0])
+
+
+def _axpy(x: Optional[list], t: int, y: Optional[Sequence[int]]) -> Optional[list]:
+    """x + t*y, None standing for zero."""
+    if y is None or not t:
+        return x
+    return [t * b for b in y] if x is None else [a + t * b for a, b in zip(x, y)]
+
+
+def _primitive(vr: Sequence[int], vi: Optional[Sequence[int]]) -> tuple:
+    """The column over the gcd of its entries (a zero column stays zero)."""
+    g = gcd(*vr, *(vi or ())) or 1
+    return [a // g for a in vr], [a // g for a in vi] if vi and any(vi) else None
+
+
+def gram_schmidt(columns: Iterable[tuple]) -> Iterator[tuple]:
+    """Fraction-free Gram-Schmidt, lazily: orthogonal primitive columns (re, im,
+    d = u*u) spanning the columns.  Against each earlier u, v becomes d v - (u*v) u,
+    made primitive again so entries do not grow; a dependent column becomes 0."""
+    out: list = []
+    for v in columns:
+        v = _primitive(*v)
+        for ur, ui, d in out:
+            (vr, vi), (cr, ci) = v, column_inner((ur, ui), v)
+            if cr or ci:  # d v - (cr + i ci)(ur + i ui)
+                v = _primitive(_axpy([d * a - cr * b for a, b in zip(vr, ur)], ci, ui),
+                               _axpy(_axpy(vi and [d * a for a in vi], -cr, ui), -ci, ur))
+        d = column_inner(v, v)[0]
+        if d:
+            out.append((*v, d))
+            yield out[-1]
+
+
+def projection_matrix(basis: Sequence[tuple], n: int) -> Matrix:
+    """P = sum u u*/d over pairwise orthogonal columns (re, im, d), d = u*u,
+    as the integers sum (L/d) u u* over L = lcm(d)."""
+    den = lcm(*(d for _, _, d in basis))
+    re = [[0] * n for _ in range(n)]
+    im = None if all(ui is None for _, ui, _ in basis) else [[0] * n for _ in range(n)]
+    for ur, ui, d in basis:
+        s = den // d
+        for r in range(n):
+            a, b = s * ur[r], ui and s * ui[r]
+            re[r] = _axpy(re[r], a, ur)
+            if ui:
+                re[r], im[r] = _axpy(re[r], b, ui), _axpy(_axpy(im[r], b, ur), -a, ui)
+    return Matrix._make(den, re, im, n, n)
 
 
 def real_fraction(x: GaussianRational) -> Fraction:

@@ -154,6 +154,15 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
+def _rational(s: str) -> Fraction:
+    """Fraction(s), by int() for plain ASCII p or p/q: same values and errors."""
+    p, slash, q = s.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    if s.isascii() and digits.isdigit() and (q.isdigit() or not slash):
+        return Fraction(int(p), int(q) if slash else 1)
+    return Fraction(s)
+
+
 def _parse_scalar(text: str) -> GaussianRational:
     s = "".join(text.split())
     if not s:
@@ -161,7 +170,7 @@ def _parse_scalar(text: str) -> GaussianRational:
     if "e" in s or "E" in s:
         raise ValueError(f"exponent forms are not exact scalars: {text!r}")
     if not s.endswith("i"):
-        return _make(Fraction(s), _FZERO)
+        return _make(_rational(s), _FZERO)
     body = s[:-1]
     # split real from imaginary at the last top-level sign (index >= 1)
     split = max(body.rfind("+", 1), body.rfind("-", 1))
@@ -174,5 +183,5 @@ def _parse_scalar(text: str) -> GaussianRational:
     elif imag == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(imag)
-    return _make(Fraction(real) if real else _FZERO, im)
+        im = _rational(imag)
+    return _make(_rational(real) if real else _FZERO, im)

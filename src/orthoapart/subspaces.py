@@ -1,18 +1,20 @@
 """Subspaces of C^n stored canonically as exact orthogonal projections.
 
-A subspace is represented by its projection matrix P = V (V*V)^{-1} V* for
-any column basis V of the span.  P is rational whenever V is, so no square
-roots ever appear.  It is computed in integers, V (det G) G^{-1} V* over det G
-with G = V*V, on one canonical denominator, so subspaces are equal iff their
+A subspace is represented by its projection matrix P = sum u u*/(u*u) over
+any orthogonal basis u of the span, here the integer Gram-Schmidt basis of
+its spanning vectors.  P is rational, so no square roots appear; it is summed
+in integers on one canonical denominator, so subspaces are equal iff their
 projections are entrywise equal.  Meet, join, relative orthocomplement are exact.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, List, Sequence
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, Vector, vector
+from .matrices import Matrix, Vector, gram_schmidt, projection_matrix, vector
+from .scalars import GaussianRational
 
 
 class Subspace:
@@ -49,15 +51,11 @@ class Subspace:
             raise ValueError("projection trace is not an integer; corrupt subspace")
         return int(tr.re)
 
-    def basis(self) -> List[Vector]:
-        """An exact (not normalized) basis: pivot columns of the projection."""
-        return self.proj.column_space_basis()
-
     def line_vector(self) -> Vector:
         """A spanning vector of a line: the first nonzero column of its projection."""
         if self.dim != 1:
             raise ValueError("line_vector requires a 1-dimensional subspace")
-        return self.proj.column(self.proj.nonzero_columns()[0])
+        return self.proj.column(self.proj.lead_column()[0])
 
     # -- predicates --------------------------------------------------------
 
@@ -76,10 +74,6 @@ class Subspace:
         """other <= self, as an exact matrix identity P_self P_other = P_other."""
         self._same_ambient(other)
         return self.proj @ other.proj == other.proj
-
-    def contains_vector(self, v: Sequence) -> bool:
-        v = vector(v)
-        return self.proj.apply(v) == v
 
     def is_orthogonal_to(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -101,7 +95,7 @@ class Subspace:
 
 
 def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Subspace:
-    """Subspace spanned by the given vectors, via P = V (V*V)^{-1} V*.
+    """Subspace spanned by the given vectors: P = sum u u*/(u*u), u their Gram-Schmidt basis.
 
     The result is basis-independent: any spanning set of the same subspace
     yields the identical projection matrix.
@@ -117,13 +111,10 @@ def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
         if ambient_dim is None:
             raise DimensionMismatch("ambient_dim required for an empty spanning set")
         n = ambient_dim
-    raw = Matrix.from_columns(vecs, rows=n)
-    _, pivots = raw.rref()
-    if not pivots:
-        return Subspace.zero(n)
-    v = raw.select_columns(pivots)
-    vh = v.adjoint()
-    return Subspace(v @ (vh @ v).inverse() @ vh)
+    dens = [lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v)) for v in vecs]
+    cols = [([x.re.numerator * (d // x.re.denominator) for x in v],
+             [x.im.numerator * (d // x.im.denominator) for x in v]) for v, d in zip(vecs, dens)]
+    return Subspace(projection_matrix(list(gram_schmidt(cols)), n))
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
@@ -155,19 +146,5 @@ def orthogonalize(vectors: Sequence[Sequence]) -> List[Vector]:
     primitive integer multiple that fraction-free arithmetic produces.
     """
     vecs = list(vectors)
-    return [u.column(0) for u in orthogonal_columns(Matrix.from_columns(vecs))] if vecs else []
-
-
-def orthogonal_columns(m: Matrix) -> List[Matrix]:
-    """Fraction-free Gram-Schmidt: pairwise orthogonal n x 1 matrices spanning the
-    column space of m.  Against each earlier output u, v becomes (u*u) v - (u*v) u,
-    the usual step times u*u, made primitive again so its entries do not grow."""
-    out: List[Matrix] = []
-    for j in range(m.cols):
-        v = m.select_columns([j]).primitive()
-        for u in out:
-            uh = u.adjoint()
-            v = (v @ (uh @ u) - u @ (uh @ v)).primitive()
-        if not v.is_zero():
-            out.append(v)
-    return out
+    us = gram_schmidt(Matrix.from_columns(vecs).integer_columns()) if vecs else ()
+    return [vector(map(GaussianRational, re, im or [0] * len(re))) for re, im, _ in us]

@@ -138,6 +138,7 @@ def test_counterexample_materializes_no_operator(monkeypatch):
         for name in (
             "materialize", "commutes", "orthogonal",
             "split_into_lines", "span_sum", "projection_of", "orthogonal_columns",
+            "gram_schmidt", "projection_matrix",
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
@@ -262,6 +263,26 @@ def test_unread_options_are_rejected(command, option, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert option in captured.err
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, name) for command, (names, _) in cli.COMMANDS.items()
+    for name in names + ("--out",) if name.startswith("--")])
+def test_option_given_double_dash_is_an_input_error(command, option, tmp_path, monkeypatch, capsys):
+    """argparse before 3.13 reads --name=-- as the list [], which main
+    refuses; 3.13 reads the text --, which only --out takes, as a file name."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps([[["1", "0"]]]))
+    (tmp_path / "members.json").write_text(json.dumps(
+        {"class": {"n": 4, "alphas": ["1"], "dims": [1]}, "members": [[0, None, None, None]]}))
+    try:
+        code = main([command] + VALID_ARGV[command] + [f"{option}=--"])
+    except SystemExit as exc:
+        code = exc.code
+    if option == "--out" and sys.version_info >= (3, 13):
+        assert code == 0 and (tmp_path / "--").is_file()
+    else:
+        assert code == 2 and "error: " in capsys.readouterr().err
 
 
 def test_cli_refine_and_incompatible(tmp_path, capsys):

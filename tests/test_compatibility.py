@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,9 +15,18 @@ from orthoapart import (
     split_into_lines,
 )
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
-from orthoapart.matrices import Matrix
+from orthoapart.matrices import Matrix, inner
+from orthoapart.scalars import I
 
-from util import lattice_compatible, lattice_refine, oracle_split_into_lines, random_frame
+from util import (
+    SMALL,
+    lattice_compatible,
+    lattice_refine,
+    oracle_orthogonal_columns,
+    oracle_split_into_lines,
+    pivot_basis,
+    random_frame,
+)
 
 
 def e(n, i):
@@ -190,6 +200,43 @@ def test_split_into_lines_matches_rational_gram_schmidt():
         assert lines == oracle_split_into_lines(block)
         assert Frame(block.ambient_dim, tuple(lines + split_into_lines(block.perp())))
     # the primitive vectors here are (0, ..., 0, k, -1, ..., -1)
-    ones = orthogonalize(blocks[0].basis())
+    ones = orthogonalize(pivot_basis(blocks[0]))
     assert max(abs(x.re) for u in ones for x in u) == 11
     assert all(x.re.denominator == 1 for u in ones for x in u)
+
+
+def test_split_into_lines_matches_both_gram_schmidt_oracles():
+    """Every block spanned by at most two vectors of C^3 with entries in
+    {0, 1, I, 1 - I}, and seeded blocks spanned by up to four vectors with
+    entries in SMALL: the lines equal the Gaussian-rational Gram-Schmidt's
+    and the Matrix-product Gram-Schmidt's on the pivot columns."""
+    vecs = [list(v) for v in product([0, 1, I, 1 - I], repeat=3)]
+    rng = random.Random(23)
+    spans = [[u, v] for u in vecs for v in vecs]
+    spans += [[[rng.choice(SMALL) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+              for _ in range(100)]
+    blocks = {projection_of(s, ambient_dim=3) for s in spans}
+    for block in blocks:
+        lines = split_into_lines(block)
+        assert lines == oracle_split_into_lines(block)
+        p = block.proj
+        us = oracle_orthogonal_columns(p.select_columns(p.rref()[1]))
+        assert lines == [projection_of(u.columns(), ambient_dim=3) for u in us]
+    assert len(blocks) > 100
+
+
+def test_frame_checks_complex_lines_pairwise():
+    """Two lines of C^2 make a frame iff their spanning vectors have zero
+    Hermitian inner product; (1, 0) and (i, 1) differ only in the imaginary
+    part, u*v = i."""
+    vecs = [v for v in product(SMALL, repeat=2) if any(v)]
+    for u, v in product(vecs, repeat=2):
+        lines = (projection_of([u]), projection_of([v]))
+        if inner(u, v).is_zero:
+            assert Frame(2, lines).lines == lines
+        else:
+            with pytest.raises(OrthoapartError, match="not orthogonal"):
+                Frame(2, lines)
+    with pytest.raises(OrthoapartError, match="not orthogonal"):
+        Frame(2, (projection_of([[1, 0]]), projection_of([[I, 1]])))
+    assert Frame(2, (projection_of([[1, I]]), projection_of([[I, 1]])))

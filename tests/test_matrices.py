@@ -9,7 +9,7 @@ from orthoapart.matrices import Matrix, inner, vector
 from orthoapart.scalars import GaussianRational, I, as_scalar
 from orthoapart.subspaces import projection_of
 
-from util import OracleMatrix, oracle_projection_of
+from util import SMALL, OracleMatrix, apply, oracle_projection_of
 
 
 def rand_matrix(rows, cols, rng, complex_entries=True):
@@ -39,7 +39,7 @@ def test_rank_and_kernel():
     m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == 2
     for v in m.kernel_basis():
-        assert all(x.is_zero for x in m.apply(v))
+        assert all(x.is_zero for x in apply(m, v))
     assert len(m.kernel_basis()) == 3 - m.rank()
 
 
@@ -102,9 +102,6 @@ def test_trace_linearity():
 
 # ---------------------------------------------------------------------------
 # the integer kernel against the Fraction-entry oracle
-
-SMALL = [0, 1, -1, Fraction(1, 2), I, 1 - I]
-
 
 def same(m: Matrix, o: OracleMatrix) -> bool:
     return m.shape == o.shape and m.entries() == o.entries()

@@ -17,6 +17,7 @@ from orthoapart import (
 from orthoapart.errors import DimensionMismatch, OrthoapartError
 
 from util import (
+    apply,
     conjugate_operator,
     matrices_commute,
     matrices_orthogonal,
@@ -83,8 +84,8 @@ def test_materialize_rotated():
     m = materialize(a)
     from orthoapart import vector
 
-    assert m.apply([1, 1]) == vector([1, 1])
-    assert m.apply([1, -1]) == vector([2, -2])
+    assert apply(m, [1, 1]) == vector([1, 1])
+    assert apply(m, [1, -1]) == vector([2, -2])
 
 
 def test_commutes_examples():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthoapart.scalars import GaussianRational, as_scalar, parse_scalar
+from orthoapart import scalars as scalar_module
+from orthoapart.scalars import GaussianRational, _rational, as_scalar, parse_scalar
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -59,6 +60,36 @@ def test_parse_rejects_exponent_forms():
     for bad in ["1e3", "1E3", "-2/3e5", "1e300000", "1+1e3i"]:
         with pytest.raises(ValueError, match="exponent"):
             parse_scalar(bad)
+
+
+# signs, leading zeros, underscores, Unicode digits (Arabic-Indic, fullwidth,
+# superscript), zero and missing terms, doubled slashes, lone signs,
+# whitespace, decimals and numbers past int()'s digit limit
+ATOMS = ["", "0", "7", "007", "-3", "+3", "-0", "+-1", "--1", "1_0", "1__0", "_1", "1_",
+         "\u0663", "\uff11\uff12", "\u00b2", "+", "-", " 1", "1 ", "\t5", "1.5", ".5", "1.",
+         "abc", "0x10", "9" * 4301]
+CORPUS = ATOMS + [f"{p}/{q}" for p in ATOMS[:18] for q in ATOMS[:18]] + [
+    "1/0", "0/0", "/2", "1/", "1//2", "1/2/3", "1 / 2", "1/-2", "1/+2", "+12/034",
+    "-" + "9" * 4301 + "/1", "1/" + "9" * 4301]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_rational_fast_path_matches_fraction():
+    for text in CORPUS:
+        assert _outcome(_rational, text) == _outcome(Fraction, text), text
+
+
+def test_parse_scalar_matches_fraction_parsing(monkeypatch):
+    texts = [t for a in CORPUS for t in (a, a + "i", "1+" + a + "i", a + "-2i")]
+    fast = [_outcome(parse_scalar, t) for t in texts]
+    monkeypatch.setattr(scalar_module, "_rational", Fraction)
+    assert fast == [_outcome(parse_scalar, t) for t in texts]
 
 
 @given(scalars)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from orthoapart.errors import DimensionMismatch
 from orthoapart.matrices import Matrix, inner
-from orthoapart.scalars import GaussianRational
+from orthoapart.scalars import GaussianRational, I
 from orthoapart.subspaces import (
     Subspace,
     complement_within,
@@ -15,7 +16,7 @@ from orthoapart.subspaces import (
     span_sum,
 )
 
-from util import random_unitary
+from util import SMALL, contains_vector, oracle_projection_of, random_unitary
 
 
 def e(n, i):
@@ -63,9 +64,25 @@ def test_projection_invariants():
         ]
         p = projection_of(vecs, ambient_dim=n)
         assert p.proj @ p.proj == p.proj
-        assert p.proj.is_hermitian()
+        assert p.proj == p.proj.adjoint()
         for v in vecs:
-            assert p.contains_vector(v)
+            assert contains_vector(p, v)
+
+
+def test_projection_of_matches_oracle_on_every_small_spanning_set():
+    """Every set of at most two vectors of C^2 with entries in SMALL, zero
+    and dependent ones included, each also with a repeated and a scaled
+    copy of its first vector; then seeded sets of up to four vectors of
+    C^3.  The oracle is P = V (V*V)^{-1} V* on Fraction entries."""
+    vecs = [list(v) for v in product(SMALL, repeat=2)]
+    sets = [[]] + [[u] for u in vecs] + [[u, v] for u in vecs for v in vecs]
+    sets += [s + [s[0], [x * (2 * I - 3) for x in s[0]]] for s in sets[1:len(vecs) + 1]]
+    rng = random.Random(19)
+    sets3 = [[[rng.choice(SMALL) for _ in range(3)] for _ in range(rng.randint(0, 4))]
+             for _ in range(300)]
+    for n, spanning in [(2, s) for s in sets] + [(3, s) for s in sets3]:
+        expected = oracle_projection_of(spanning, ambient_dim=n)
+        assert projection_of(spanning, ambient_dim=n).proj.entries() == expected.entries(), spanning
 
 
 def test_projection_basis_independent():

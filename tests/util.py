@@ -49,8 +49,11 @@ from orthoapart.apartments import (
 from orthoapart.cli import SCHEMA_VERSION
 from orthoapart.errors import DimensionMismatch, SingularMatrix
 from orthoapart.matrices import Vector, inner, vector
-from orthoapart.scalars import ONE, ZERO, GaussianRational, as_scalar
+from orthoapart.scalars import I, ONE, ZERO, GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
+
+# small entries for exhaustive checks: zero, signs, a fraction, complex values
+SMALL = [0, 1, -1, Fraction(1, 2), I, 1 - I]
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
                (Fraction(8, 17), Fraction(15, 17))]
@@ -932,11 +935,51 @@ def oracle_projection_of(vectors: Sequence[Sequence], ambient_dim: int) -> Oracl
     return v @ (vh @ v).inverse() @ vh
 
 
+def pivot_basis(x: Subspace) -> List[Vector]:
+    """An exact (not normalized) basis of x: the pivot columns of its projection."""
+    return x.proj.column_space_basis()
+
+
+def apply(m: Matrix, v: Sequence) -> Vector:
+    """The product m v, as a vector."""
+    v = vector(v)  # a length mismatch raises DimensionMismatch in the product
+    return (m @ (Matrix([[x] for x in v]) if v else Matrix.zeros(0, 1))).column(0)
+
+
+def contains_vector(x: Subspace, v: Sequence) -> bool:
+    """v lies in x: P v = v."""
+    v = vector(v)
+    return apply(x.proj, v) == v
+
+
+def _primitive_column(m: Matrix) -> Matrix:
+    """The positive multiple of a column with coprime Gaussian-integer
+    entries (zero stays zero), read through entry access."""
+    parts = [p for x in m.column(0) for p in (x.re, x.im)]
+    den = math.lcm(*(p.denominator for p in parts))
+    g = math.gcd(*(p.numerator * (den // p.denominator) for p in parts))
+    return m.scale(Fraction(den, g)) if g else m
+
+
+def oracle_orthogonal_columns(m: Matrix) -> List[Matrix]:
+    """Gram-Schmidt on Matrix products, as before the integer kernel: against
+    each earlier output u, v becomes (u*u) v - (u*v) u, made primitive."""
+    out: List[Matrix] = []
+    for j in range(m.cols):
+        v = _primitive_column(m.select_columns([j]))
+        for u in out:
+            uh = u.adjoint()
+            v = _primitive_column(v @ (uh @ u) - u @ (uh @ v))
+        if not v.is_zero():
+            out.append(v)
+    return out
+
+
 def oracle_split_into_lines(block: Subspace) -> List[Subspace]:
     """Lines of a block by Gram-Schmidt on Gaussian-rational scalars, each
     line through P = V (V*V)^{-1} V*, as before the integer kernel."""
     out: List[Vector] = []
-    for v in block.basis():
+    for v in pivot_basis(block):
         for u in out:
             c = inner(u, v) / inner(u, u)
             v = tuple(a - c * b for a, b in zip(v, u))
