@@ -168,6 +168,10 @@ class Matrix:
         """The columns' numerators over the one denominator."""
         return zip(zip(*self._re), repeat(None) if self._im is None else zip(*self._im))
 
+    @property
+    def den(self) -> int:
+        return self._den
+
     def lead_column(self) -> Tuple[int, tuple]:
         """The index and the numerators (re, im) of the first nonzero column."""
         return next((j, (re, im)) for j, (re, im) in enumerate(self.integer_columns())
@@ -199,15 +203,25 @@ class Matrix:
         re, im = _comb(cr, self._re, -ci, self._im), _comb(cr, self._im, ci, self._re)
         return Matrix._make(self._den * cd, re, im, self.rows, self.cols)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
+    def _product(self, other: "Matrix") -> Tuple[list, Rows]:
+        """The integer rows (re, im) of self @ other over den * other.den, not normalized."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         n, (ar, ai), (br, bi) = other.cols, (self._re, self._im), (other._re, other._im)
         re = _mul(ar, br, n)
         if ai is not None and bi is not None:
             re = _comb(1, re, -1, _mul(ai, bi, n))
-        im = _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
-        return Matrix._make(self._den * other._den, re, im, self.rows, n)
+        return re, _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        re, im = self._product(other)
+        return Matrix._make(self._den * other._den, re, im, self.rows, other.cols)
+
+    def product_is_hermitian(self, other: "Matrix") -> bool:
+        """self @ other == (self @ other).adjoint(), read on the product's integers."""
+        re, im = self._product(other)
+        return re == list(map(list, zip(*re))) and (
+            im is None or im == [[-a for a in col] for col in zip(*im)])
 
     def transpose(self) -> "Matrix":
         flip = lambda x: None if x is None else list(zip(*x)) or [()] * self.cols  # noqa: E731
@@ -220,11 +234,15 @@ class Matrix:
         """Conjugate transpose; an involution."""
         return self.transpose().conj()
 
-    def trace(self) -> GaussianRational:
+    def integer_trace(self) -> Tuple[int, int]:
+        """The numerators (re, im) of the trace over `den`."""
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
         re = sum(self._re[i][i] for i in range(self.rows))
-        im = 0 if self._im is None else sum(self._im[i][i] for i in range(self.rows))
+        return re, 0 if self._im is None else sum(self._im[i][i] for i in range(self.rows))
+
+    def trace(self) -> GaussianRational:
+        re, im = self.integer_trace()
         return _scalar(Fraction(re, self._den), Fraction(im, self._den))
 
     # -- predicates --------------------------------------------------------

@@ -14,7 +14,8 @@ ignored, trailing ``i`` marks the imaginary term).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Tuple, Union
 
 from .errors import Value
 
@@ -116,15 +117,25 @@ class GaussianRational(Value):
     # -- text format -------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if self.im < 0 else f"+{self.im}i"
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"{self.re}{im}"
+        (a, b), (c, d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        return scalar_text(a * d, c * b, b * d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _ratio_text(p: int, q: int) -> str:
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def scalar_text(re: int, im: int, den: int) -> str:
+    """The text form of (re + im i)/den, den > 0: "p/q" or "p/q+r/si", each
+    part in lowest terms and "/1" omitted, a zero part omitted unless both are."""
+    if not im:
+        return _ratio_text(re, den)
+    sign = "+" if re and im > 0 else ""
+    return (_ratio_text(re, den) if re else "") + sign + _ratio_text(im, den) + "i"
 
 
 ZERO = GaussianRational()
@@ -154,13 +165,24 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
-def _rational(s: str) -> Fraction:
-    """Fraction(s), by int() for plain ASCII p or p/q: same values and errors."""
+def plain_ratio(s: str) -> Optional[Tuple[int, int]]:
+    """(p, q) by int() for plain ASCII text p or p/q with q > 0, else None
+    (also past int()'s digit limit, where Fraction(s) says why)."""
     p, slash, q = s.partition("/")
     digits = p[1:] if p[:1] in ("+", "-") else p
-    if s.isascii() and digits.isdigit() and (q.isdigit() or not slash):
-        return Fraction(int(p), int(q) if slash else 1)
-    return Fraction(s)
+    if not (s.isascii() and digits.isdigit() and (q.isdigit() or not slash)):
+        return None
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError:
+        return None
+    return (p, q) if q else None
+
+
+def _rational(s: str) -> Fraction:
+    """Fraction(s), by int() for plain ASCII p or p/q: same values and errors."""
+    pq = plain_ratio(s)
+    return Fraction(*pq) if pq else Fraction(s)
 
 
 def _parse_scalar(text: str) -> GaussianRational:

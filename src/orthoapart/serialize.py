@@ -13,14 +13,15 @@ a non-integer dimension) raises OrthoapartError naming the field.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from math import lcm
+from typing import List, Optional, Tuple
 
 from .apartments import Labeling
 from .compatibility import Frame
 from .errors import OrthoapartError
-from .matrices import Vector, vector
 from .operators import ClassDescriptor
-from .scalars import parse_scalar
+from .scalars import parse_scalar, plain_ratio, scalar_text
 from .subspaces import Subspace, projection_of
 
 
@@ -53,12 +54,19 @@ def _scalar(data, where: str):
         raise OrthoapartError(f"{where}: {exc}") from None
 
 
-def vector_from_json(data, where: str) -> Vector:
-    return vector([_scalar(s, f"{where}[{i}]") for i, s in enumerate(_list(data, where))])
-
-
-def vector_to_json(v: Sequence) -> List[str]:
-    return [str(x) for x in v]
+def _column(data, where: str) -> tuple:
+    """A vector as the integer column (re, im) over the lcm of its denominators.
+    Plain p and p/q text is read by int(), anything else by parse_scalar."""
+    parts = []
+    for i, s in enumerate(_list(data, where)):
+        pq = plain_ratio(s) if type(s) is str else None
+        if pq:
+            parts.append((*pq, 0, 1))
+        else:
+            z = _scalar(s, f"{where}[{i}]")
+            parts.append((z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator))
+    d = lcm(*(q for _, q, _, _ in parts), *(s for _, _, _, s in parts))
+    return [p * (d // q) for p, q, _, _ in parts], [r * (d // s) for _, _, r, s in parts]
 
 
 def class_from_json(data) -> ClassDescriptor:
@@ -86,23 +94,27 @@ def family_from_json(data, ambient_dim: Optional[int] = None) -> List[Subspace]:
     out = []
     for i, spanning in enumerate(_list(data, "family")):
         where = f"family[{i}]"
-        vecs = [vector_from_json(v, f"{where}[{j}]") for j, v in enumerate(_list(spanning, where))]
-        out.append(projection_of(vecs, ambient_dim=ambient_dim))
+        cols = [_column(v, f"{where}[{j}]") for j, v in enumerate(_list(spanning, where))]
+        out.append(projection_of(cols, ambient_dim=ambient_dim, integer=True))
     return out
 
 
+def _line_text(line: Subspace) -> List[str]:
+    """A line's spanning vector, the first nonzero column of its projection,
+    as text from the column's numerators over the projection's denominator."""
+    den, (re, im) = line.proj.den, line.proj.lead_column()[1]
+    return [scalar_text(a, b, den) for a, b in zip(re, im or repeat(0))]
+
+
 def frame_to_json(frame: Frame) -> dict:
-    return {
-        "n": frame.ambient_dim,
-        "lines": [vector_to_json(line.line_vector()) for line in frame.lines],
-    }
+    return {"n": frame.ambient_dim, "lines": [_line_text(line) for line in frame.lines]}
 
 
 def frame_from_json(data) -> Frame:
     n = _int(_field(data, "n", "frame"), "frame.n")
     lines = _list(_field(data, "lines", "frame"), "frame.lines")
     return Frame(n, tuple(
-        projection_of([vector_from_json(v, f"frame.lines[{i}]")], ambient_dim=n)
+        projection_of([_column(v, f"frame.lines[{i}]")], ambient_dim=n, integer=True)
         for i, v in enumerate(lines)
     ))
 

@@ -46,10 +46,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        tr = self.proj.trace()
-        if not tr.is_real or tr.re.denominator != 1:
+        re, im = self.proj.integer_trace()
+        if im or re % self.proj.den:
             raise ValueError("projection trace is not an integer; corrupt subspace")
-        return int(tr.re)
+        return re // self.proj.den
 
     def line_vector(self) -> Vector:
         """A spanning vector of a line: the first nonzero column of its projection."""
@@ -94,16 +94,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Subspace:
+def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None, *,
+                  integer: bool = False) -> Subspace:
     """Subspace spanned by the given vectors: P = sum u u*/(u*u), u their Gram-Schmidt basis.
 
     The result is basis-independent: any spanning set of the same subspace
-    yields the identical projection matrix.
+    yields the identical projection matrix.  With integer=True the vectors are
+    integer columns (re, im), each a nonzero multiple of a spanning vector.
     """
-    vecs = [vector(v) for v in vectors]
-    if vecs:
-        n = len(vecs[0])
-        if any(len(v) != n for v in vecs):
+    if not integer:  # each vector times the lcm of its denominators
+        vecs = [vector(v) for v in vectors]
+        dens = [lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v)) for v in vecs]
+        vectors = [([x.re.numerator * (d // x.re.denominator) for x in v],
+                    [x.im.numerator * (d // x.im.denominator) for x in v]) for v, d in zip(vecs, dens)]
+    cols = list(vectors)
+    if cols:
+        n = len(cols[0][0])
+        if any(len(re) != n for re, _ in cols):
             raise DimensionMismatch("input vectors of unequal length")
         if ambient_dim is not None and ambient_dim != n:
             raise DimensionMismatch("ambient_dim disagrees with vector length")
@@ -111,9 +118,6 @@ def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
         if ambient_dim is None:
             raise DimensionMismatch("ambient_dim required for an empty spanning set")
         n = ambient_dim
-    dens = [lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v)) for v in vecs]
-    cols = [([x.re.numerator * (d // x.re.denominator) for x in v],
-             [x.im.numerator * (d // x.im.denominator) for x in v]) for v, d in zip(vecs, dens)]
     return Subspace(projection_matrix(list(gram_schmidt(cols)), n))
 
 

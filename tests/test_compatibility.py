@@ -22,6 +22,8 @@ from util import (
     SMALL,
     lattice_compatible,
     lattice_refine,
+    oracle_dim,
+    oracle_is_compatible,
     oracle_orthogonal_columns,
     oracle_split_into_lines,
     pivot_basis,
@@ -82,6 +84,54 @@ def test_compatibility_equals_projection_commutation():
         assert got == lattice_compatible(x, y)
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_integer_compatibility_and_dim_match_matrix_forms():
+    """is_compatible on the product's integers against z == z.adjoint() on
+    the normalized product, for every pair of the subspaces of C^2 spanned by
+    at most two vectors over SMALL and of the lines of C^3 over SMALL; dim
+    from the integer diagonal against the GaussianRational trace, corrupt
+    traces (not an integer, not real) included."""
+    pairs2 = [[u, v] for u in product(SMALL, repeat=2) for v in product(SMALL, repeat=2)]
+    spaces2 = {projection_of(s) for s in pairs2} | {Subspace.zero(2)}
+    lines3 = {projection_of([v], ambient_dim=3) for v in product(SMALL, repeat=3)}
+    outcomes = set()
+    for spaces in (spaces2, lines3):
+        for x in spaces:
+            assert x.dim == oracle_dim(x)
+            for y in spaces:
+                got = is_compatible(x, y)
+                assert got == oracle_is_compatible(x, y)
+                outcomes.add((x.dim, y.dim, got))
+    assert {(1, 1, True), (1, 1, False), (0, 2, True), (1, 2, True)} <= outcomes
+    assert len(spaces2) > 20 and len(lines3) > 100
+
+    # the identity holds for any product, not only of projections
+    rng = random.Random(20)
+    hermitian = 0
+    for _ in range(2000):
+        a, b = (Matrix([[rng.choice(SMALL) for _ in range(2)] for _ in range(2)]) for _ in range(2))
+        b = b.adjoint() if rng.random() < 0.5 else a.adjoint()
+        z = a @ b
+        assert a.product_is_hermitian(b) == (z == z.adjoint())
+        hermitian += z == z.adjoint()
+    assert hermitian > 500
+
+    half, imaginary = Fraction(1, 2), I
+    for m in ([[half, 0], [0, 0]], [[imaginary, 0], [0, 0]], [[imaginary, 0], [0, -imaginary]],
+              [[half, 1], [0, half]], [[3, 0], [0, -1]]):
+        x = Subspace(Matrix(m))
+        assert _outcome(lambda: x.dim) == _outcome(oracle_dim, x)
+    for m in ([[half, 0], [0, 0]], [[imaginary, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="corrupt subspace"):
+            Subspace(Matrix(m)).dim
 
 
 def test_frame_validation():

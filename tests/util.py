@@ -88,6 +88,19 @@ def random_frame(n: int, rng: random.Random, rotations: int = 3) -> Frame:
     return Frame(n, lines)
 
 
+def random_complex_frame(n: int, rng: random.Random, rotations: int = 3) -> Frame:
+    """random_frame's unitary mixed further by complex rotations [[c, is], [is, c]]
+    in random coordinate planes, so that entries are a + bi."""
+    u = random_unitary(n, rng, rotations)
+    for _ in range(rotations if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c, s = rng.choice(PYTHAGOREAN)
+        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+        rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, I * s, I * s, c
+        u = Matrix(rows) @ u
+    return Frame(n, tuple(projection_of([u.column(i)], ambient_dim=n) for i in range(n)))
+
+
 def compositions(k: int):
     """Every ordered tuple of positive integers summing to k."""
     if k == 0:
@@ -985,6 +998,55 @@ def oracle_split_into_lines(block: Subspace) -> List[Subspace]:
             v = tuple(a - c * b for a, b in zip(v, u))
         out.append(v)
     return [projection_of([u], ambient_dim=block.ambient_dim) for u in out]
+
+
+def oracle_vector_from_json(data, where: str) -> Vector:
+    """A file's vector as Gaussian-rational scalars, each through parse_scalar,
+    as `serialize` read it before integer columns."""
+    items = serialize._list(data, where)
+    return vector([serialize._scalar(s, f"{where}[{i}]") for i, s in enumerate(items)])
+
+
+def oracle_family_from_json(data, ambient_dim: Optional[int] = None) -> List[Subspace]:
+    """The family reader before integer columns: vector() on the parsed
+    scalars, then projection_of, which ran vector() on each vector again."""
+    out = []
+    for i, spanning in enumerate(serialize._list(data, "family")):
+        where = f"family[{i}]"
+        vecs = [oracle_vector_from_json(v, f"{where}[{j}]")
+                for j, v in enumerate(serialize._list(spanning, where))]
+        out.append(projection_of(vecs, ambient_dim=ambient_dim))
+    return out
+
+
+def oracle_scalar_str(z: GaussianRational) -> str:
+    """str() of a scalar as written from its Fraction parts before `scalar_text`."""
+    if z.im == 0:
+        return str(z.re)
+    im = f"{z.im}i" if z.im < 0 else f"+{z.im}i"
+    if z.re == 0:
+        return f"{z.im}i"
+    return f"{z.re}{im}"
+
+
+def oracle_line_text(line: Subspace) -> List[str]:
+    """A frame line as `frame_to_json` wrote it before reading numerators:
+    each entry of line_vector(), written from its Fraction parts."""
+    return [oracle_scalar_str(x) for x in line.line_vector()]
+
+
+def oracle_is_compatible(x: Subspace, y: Subspace) -> bool:
+    """P_X P_Y = (P_X P_Y)* on the normalized product Matrix and its adjoint."""
+    z = x.proj @ y.proj
+    return z == z.adjoint()
+
+
+def oracle_dim(x: Subspace) -> int:
+    """dim as the trace of the projection, read as a GaussianRational."""
+    tr = x.proj.trace()
+    if not tr.is_real or tr.re.denominator != 1:
+        raise ValueError("projection trace is not an integer; corrupt subspace")
+    return int(tr.re)
 
 
 # ---------------------------------------------------------------------------
