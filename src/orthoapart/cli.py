@@ -29,7 +29,7 @@ from .apartments import (
     member_count,
     pair_cells,
 )
-from .compatibility import refine_to_frame
+from .compatibility import check_refine_work, refine_to_frame
 from .errors import IncompatibleFamily, OrthoapartError, ThresholdViolation
 from .operators import ClassDescriptor
 from .rigidity import (
@@ -222,8 +222,13 @@ def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
 
 
 def cmd_refine(family_path: str, n: Optional[int] = None) -> dict:
-    """Refine a family file (JSON list of spanning sets) into a frame."""
-    family = serialize.family_from_json(_read_json(family_path), ambient_dim=n)
+    """Refine a family file (JSON list of spanning sets) into a frame.  The work
+    bound is checked on the file's shape first: n is --n, else the longest vector."""
+    data = _read_json(family_path)
+    if isinstance(data, list):  # any other shape is refused by family_from_json
+        vectors = (v for s in data if isinstance(s, list) for v in s if isinstance(v, list))
+        check_refine_work(max(map(len, vectors), default=0) if n is None else n, len(data))
+    family = serialize.family_from_json(data, ambient_dim=n)
     frame = refine_to_frame(family, ambient_dim=n)
     return {
         "schema_version": SCHEMA_VERSION,

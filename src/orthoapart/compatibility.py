@@ -6,19 +6,30 @@ P_X P_Y = P_Y P_X, and then P_X P_Y is the projection onto X cap Y.  Any
 finite pairwise-compatible family refines into a frame (n mutually
 orthogonal lines spanning the space) such that every family member is a
 sum of frame lines: keep a partition of the space into orthogonal blocks,
-split each block Y against each member X into the product P_X P_Y (the
-meet) and P_Y - P_X P_Y (the rest of Y) whenever the product is neither
-zero nor P_Y, and finally split each block into orthogonal lines.
+split each block Y against each member X into the meet P_X P_Y and the
+rest P_Y - P_X P_Y, and finally split each block into orthogonal lines.
+
+For projections tr(P_X P_Y) = |P_X P_Y|_F^2: 0 iff X is orthogonal to Y and
+dim Y iff Y lies in X.  So only a block that splits takes a product, at most
+n - 1 in all.  Each earlier member is a sum of blocks, so X is compatible with
+all of them iff each split's product is self-adjoint; the pairwise scan runs
+only to name the first incompatible pair.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, Value
 from .matrices import column_inner, gram_schmidt, projection_matrix
 from .subspaces import Subspace
+
+
+# refine_to_frame on f members in C^n: an O(n^2) trace per member and block, an O(n^3)
+# product per split (each member at most doubles the blocks: under min(n, 2^f) splits)
+# and n frame lines of n^2 entries, so (f + min(n, 2^f)) n^3; n = 120, f = 16 is 2.35e8
+MAX_REFINE_WORK = 3 * 10**8
 
 
 class Frame(Value):
@@ -69,14 +80,21 @@ def split_into_lines(block: Subspace) -> List[Subspace]:
     return [Subspace(projection_matrix([u], block.ambient_dim)) for u in islice(us, block.dim)]
 
 
+def check_refine_work(n: int, f: int) -> None:
+    """Refuse, before any work, a refinement of f members in C^n over MAX_REFINE_WORK."""
+    if (f + min(n, 2 ** min(f, n))) * n**3 > MAX_REFINE_WORK:
+        raise OrthoapartError(f"a family of f={f} members in dimension n={n} needs about (f + "
+                              f"min(n, 2^f))*n^3 refine steps, over the limit {MAX_REFINE_WORK}")
+
+
 def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
     """Refine a pairwise-compatible family into a frame whose lines generate
     every family member.
 
     Raises DimensionMismatch when members live in different ambient
-    dimensions and IncompatibleFamily with the offending input indices when
-    some pair is not compatible.  Blocks are split in one pass (family
-    order, then block order), so the output frame is reproducible; zero and
+    dimensions and IncompatibleFamily with the first pair of input indices
+    that is not compatible.  Blocks are split in one pass (family order,
+    then block order), so the output frame is reproducible; zero and
     repeated members split nothing.  The empty family (with an explicit
     ambient_dim) refines to the standard coordinate frame.
     """
@@ -92,22 +110,21 @@ def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) 
             raise DimensionMismatch(
                 f"family member {i} has ambient dimension {x.ambient_dim}, member 0 has {n}"
             )
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if not is_compatible(family[i], family[j]):
-                raise IncompatibleFamily(i, j)
 
-    # every block is a meet of members and member complements, so it commutes
-    # with each member and P_X P_Y is the projection onto X cap Y
     blocks: List[Subspace] = [Subspace.full(n)]
     for x in family:
-        split: List[Subspace] = []
+        p, split = x.proj, []
         for y in blocks:
-            z = x.proj @ y.proj
-            if z.is_zero() or z == y.proj:
-                split.append(y)
-            else:
-                split += [Subspace(z), Subspace(y.proj - z)]
+            q = y.proj
+            t = p.frobenius(q)  # tr(P_X P_Y) times p.den * q.den
+            if not t or t == y.dim * p.den * q.den:
+                split.append(y)  # X is orthogonal to Y or contains it
+                continue
+            z = p @ q
+            if not z.is_hermitian():  # name the pairwise scan's first pair
+                raise next(IncompatibleFamily(i, j) for i, j in combinations(range(len(family)), 2)
+                           if not is_compatible(family[i], family[j]))
+            split += [Subspace(z), Subspace(q - z)]
         blocks = split
 
     lines: List[Subspace] = []

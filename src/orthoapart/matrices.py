@@ -63,6 +63,12 @@ def _mul(x: Rows, y: Rows, cols: int) -> list:
     return out
 
 
+def _hermitian(re: Rows, im: Rows) -> bool:
+    """Integer rows (re, im), as lists or tuples, equal their conjugate transpose."""
+    return list(map(tuple, re)) == list(zip(*re)) and (
+        im is None or [tuple(-a for a in r) for r in im] == list(zip(*im)))
+
+
 def _bareiss(m: List[list], ncols: int) -> Tuple[int, List[int]]:
     """Fraction-free Gauss-Jordan on integer rows, in place.  Returns the last
     pivot d and the pivot columns; m ends as d times the reduced row echelon
@@ -184,14 +190,17 @@ class Matrix:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        den = lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        re, im = _comb(s, self._re, t, other._re), _comb(s, self._im, t, other._im)
-        return Matrix._make(den, re, im, self.rows, self.cols)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        self._same_shape(other)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        re, im = _comb(s, self._re, t, other._re), _comb(s, self._im, t, other._im)
+        return Matrix._make(den, re, im, self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return Matrix._make(-self._den, self._re, self._im, self.rows, self.cols)
@@ -219,9 +228,17 @@ class Matrix:
 
     def product_is_hermitian(self, other: "Matrix") -> bool:
         """self @ other == (self @ other).adjoint(), read on the product's integers."""
-        re, im = self._product(other)
-        return re == list(map(list, zip(*re))) and (
-            im is None or im == [[-a for a in col] for col in zip(*im)])
+        return _hermitian(*self._product(other))
+
+    def frobenius(self, other: "Matrix") -> int:
+        """Re tr(self @ other*) = sum re re' + im im' over den * other.den: tr(self @ other)
+        for Hermitian other, and tr(PQ) = |PQ|_F^2 for projections P, Q."""
+        self._same_shape(other)
+        flat = chain.from_iterable
+        t = sum(map(mul, flat(self._re), flat(other._re)))
+        if self._im is not None and other._im is not None:
+            t += sum(map(mul, flat(self._im), flat(other._im)))
+        return t
 
     def transpose(self) -> "Matrix":
         flip = lambda x: None if x is None else list(zip(*x)) or [()] * self.cols  # noqa: E731
@@ -254,6 +271,10 @@ class Matrix:
 
     def __hash__(self):
         return hash((self._den, self._re, self._im))
+
+    def is_hermitian(self) -> bool:
+        """self == self.adjoint(), read on the integers."""
+        return _hermitian(self._re, self._im)
 
     def is_zero(self) -> bool:
         return self._im is None and not any(map(any, self._re))

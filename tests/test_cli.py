@@ -24,7 +24,7 @@ from orthoapart.apartments import (
     rotated_frame,
     standard_apartment,
 )
-from orthoapart.compatibility import Frame
+from orthoapart.compatibility import MAX_REFINE_WORK, Frame, check_refine_work
 from orthoapart.cli import (
     cmd_counterexample,
     cmd_refine,
@@ -362,6 +362,34 @@ def test_cmd_refine_empty_family_needs_n(tmp_path):
     out = tmp_path / "frame.json"
     assert main(["refine", str(path), "--n", "3", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["frame"]["lines"]) == 3
+
+
+@pytest.mark.parametrize("family, argv, n, f", [
+    ([[["1"] * 1000]], [], 1000, 1),
+    ([], ["--n", "1000"], 1000, 0),
+    ([[]], ["--n", "1000"], 1000, 1),
+    ([[["1"]], [["1"] * 1000]], [], 1000, 2),  # refused before member 1 is built
+    ([[["1"] * 465]], [], 465, 1),
+])
+def test_refine_refuses_work_over_the_bound(family, argv, n, f, tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    start = time.perf_counter()
+    assert main(["refine", str(path)] + argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"f={f} members in dimension n={n} needs about (f + min(n, 2^f))*n^3 refine " \
+           f"steps, over the limit {MAX_REFINE_WORK}" in captured.err
+
+
+def test_refine_bound_admits_n_120_with_16_members():
+    """Each member at most doubles the blocks, so few members in a large space pass."""
+    for n, f in ((120, 16), (120, 53), (132, 1), (464, 1), (669, 0), (200, 5)):
+        check_refine_work(n, f)
+    for n, f in ((120, 54), (465, 1), (670, 0), (200, 6), (10, 10**9)):
+        with pytest.raises(OrthoapartError, match="over the limit"):
+            check_refine_work(n, f)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "refine_golden.json")

@@ -25,8 +25,10 @@ from util import (
     oracle_dim,
     oracle_is_compatible,
     oracle_orthogonal_columns,
+    oracle_refine_to_frame,
     oracle_split_into_lines,
     pivot_basis,
+    random_complex_frame,
     random_frame,
 )
 
@@ -86,6 +88,15 @@ def test_compatibility_equals_projection_commutation():
     assert outcomes == {True, False}
 
 
+def _small_grid():
+    """The subspaces of C^2 spanned by at most two vectors over SMALL, zero
+    included, and the lines of C^3 spanned by one vector over SMALL."""
+    pairs2 = [[u, v] for u in product(SMALL, repeat=2) for v in product(SMALL, repeat=2)]
+    spaces2 = {projection_of(s) for s in pairs2} | {Subspace.zero(2)}
+    lines3 = {projection_of([v], ambient_dim=3) for v in product(SMALL, repeat=3)}
+    return spaces2, lines3
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -99,9 +110,7 @@ def test_integer_compatibility_and_dim_match_matrix_forms():
     at most two vectors over SMALL and of the lines of C^3 over SMALL; dim
     from the integer diagonal against the GaussianRational trace, corrupt
     traces (not an integer, not real) included."""
-    pairs2 = [[u, v] for u in product(SMALL, repeat=2) for v in product(SMALL, repeat=2)]
-    spaces2 = {projection_of(s) for s in pairs2} | {Subspace.zero(2)}
-    lines3 = {projection_of([v], ambient_dim=3) for v in product(SMALL, repeat=3)}
+    spaces2, lines3 = _small_grid()
     outcomes = set()
     for spaces in (spaces2, lines3):
         for x in spaces:
@@ -132,6 +141,119 @@ def test_integer_compatibility_and_dim_match_matrix_forms():
     for m in ([[half, 0], [0, 0]], [[imaginary, 0], [0, 0]]):
         with pytest.raises(ValueError, match="corrupt subspace"):
             Subspace(Matrix(m)).dim
+
+
+def test_frobenius_numerator_is_the_trace_of_the_product():
+    """tr(P_X P_Y) = |P_X P_Y|_F^2 on every pair of the SMALL grid, complex
+    included: the integer sum over den * den is the product's trace, 0 iff
+    the product is zero and dim Y iff it is P_Y."""
+    spaces2, lines3 = _small_grid()
+    cases = set()
+    for spaces in (spaces2, lines3):
+        for x in spaces:
+            for y in spaces:
+                p, q = x.proj, y.proj
+                t, z = p.frobenius(q), p @ q
+                assert z.trace() == Fraction(t, p.den * q.den)
+                assert (t == 0) == z.is_zero()
+                assert (t == y.dim * p.den * q.den) == (z == q)
+                cases.add((t == 0, z == q, z.is_hermitian()))
+    assert cases == {(True, False, True), (True, True, True), (False, True, True),
+                     (False, False, True), (False, False, False)}
+
+
+def _refined(refine, family, *args):
+    """A refinement's frame, or the error it raises, as a comparable value."""
+    try:
+        return refine(family, *args).lines
+    except IncompatibleFamily as exc:
+        return ("incompatible", exc.pair)
+    except DimensionMismatch as exc:
+        return ("dimension", str(exc))
+
+
+def test_refine_matches_pairwise_scan_oracle_on_small_grid():
+    """Trace-decided blocks and one product per split against the pairwise
+    scan and a product per block: every ordered family of at most three
+    subspaces of C^2 over SMALL, every ordered pair of lines of C^3 over
+    SMALL, and every ordered triple of the lines of C^3 over {0, 1, -1}
+    with zero and C^3."""
+    spaces2, lines3 = _small_grid()
+    _key = lambda x: repr(x.proj)  # noqa: E731  a fixed family order across runs
+    real3 = {projection_of([v], ambient_dim=3) for v in product((0, 1, -1), repeat=3)}
+    real3 |= {Subspace.zero(3), Subspace.full(3)}
+    families = [list(f) for k in range(1, 4) for f in product(sorted(spaces2, key=_key), repeat=k)]
+    families += [list(f) for f in product(sorted(lines3, key=_key), repeat=2)]
+    families += [list(f) for f in product(sorted(real3, key=_key), repeat=3)]
+    kinds = set()
+    for family in families:
+        got = _refined(refine_to_frame, family)
+        assert got == _refined(oracle_refine_to_frame, family)
+        kinds.add((len(family), got[0] if isinstance(got[0], str) else "frame"))
+    assert {(k, "frame") for k in (1, 2, 3)} <= kinds
+    assert {(k, "incompatible") for k in (2, 3)} <= kinds
+    assert refine_to_frame([], 2) == oracle_refine_to_frame([], 2)
+
+
+def _first_failing_member(family) -> int:
+    """The first member not compatible with some earlier one: where the
+    block split first meets a product that is not self-adjoint."""
+    return next(j for j in range(len(family))
+                if not all(oracle_is_compatible(family[i], family[j]) for i in range(j)))
+
+
+def test_refine_matches_pairwise_scan_oracle_on_rotated_frames(monkeypatch):
+    """300 seeded families of sums of lines of real and complex rotated
+    frames, with zero, repeated and full-space members, one in three given
+    one or two members from another frame, lines through two lines of the
+    frame or members of another ambient dimension.  A compatible family
+    takes one product per split: the final blocks, which group the lines
+    by the members holding them, less one."""
+    products, matmul = [], Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    rng = random.Random(24)
+    kinds, later = set(), 0
+    for k in range(300):
+        n = rng.randint(1, 6)
+        gen = (random_complex_frame if k % 2 else random_frame)(n, rng)
+        family = [lines_sum(gen, [i for i in range(n) if rng.random() < 0.5])
+                  for _ in range(rng.randint(1, 5))]
+        family += rng.sample([Subspace.zero(n), Subspace.full(n), rng.choice(family)], rng.randint(0, 3))
+        for _ in range(rng.randint(1, 2) if k % 3 == 0 else 0):
+            other = random_frame(n, rng)
+            # the line through two lines a, b of gen commutes with the sums
+            # holding both or neither
+            u = [gen.lines[i].line_vector() for i in rng.sample(range(n), min(n, 2))]
+            family.append(rng.choice([
+                lines_sum(other, [i for i in range(n) if rng.random() < 0.5]),
+                projection_of([[a + b for a, b in zip(u[0], u[-1])]]),
+                Subspace.full(n + 1),
+            ]))
+        rng.shuffle(family)
+        products.clear()
+        got = _refined(refine_to_frame, family)
+        split = len(products)
+        assert got == _refined(oracle_refine_to_frame, family)
+        kinds.add(got[0] if isinstance(got[0], str) else "frame")
+        if not isinstance(got[0], str):
+            blocks = {tuple(x.contains(line) for x in family) for line in got}
+            assert split == len(blocks) - 1 < n
+        if got[0] == "incompatible":
+            later += _first_failing_member(family) != got[1][1]
+    assert kinds == {"frame", "incompatible", "dimension"}
+    assert later > 0
+
+
+def test_refine_names_the_first_pair_not_the_first_failing_member():
+    """The split first fails at member 2 (lines e1 and e1 + e2), but the
+    pairwise scan's first incompatible pair is (0, 3): e3 against e2 + e3."""
+    family = [projection_of([e(3, 2)]), projection_of([e(3, 0)]),
+              projection_of([[1, 1, 0]]), projection_of([[0, 1, 1]])]
+    assert _first_failing_member(family) == 2
+    for refine in (refine_to_frame, oracle_refine_to_frame):
+        with pytest.raises(IncompatibleFamily) as exc:
+            refine(family)
+        assert exc.value.pair == (0, 3)
 
 
 def test_frame_validation():

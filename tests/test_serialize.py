@@ -69,6 +69,17 @@ def test_family_reader_matches_scalar_parsing_oracle():
     assert read > 200
 
 
+def test_family_reader_names_the_first_of_a_repeated_malformed_text():
+    """A malformed text that appears twice is refused at its first
+    position, whether or not a plain text is repeated around it."""
+    for bad in ("1/0", "1e3", "x", "1//2"):
+        for data, where in (([[["1/2", bad]], [["1/2", bad]]], "family[0][0][1]"),
+                            ([[["1/2"]], [["0", "1/2"], [bad, "1/2"]], [[bad, bad]]], "family[1][1][0]")):
+            for read in (serialize.family_from_json, oracle_family_from_json):
+                got = _outcome(read, data)
+                assert got[0] == "OrthoapartError" and got[1].startswith(where + ":"), (read, data, got)
+
+
 def test_frame_reader_matches_scalar_parsing_oracle():
     """Frame files over plain, complex, decimal and malformed lines, with
     orthogonal and non-orthogonal pairs."""

@@ -29,6 +29,7 @@ from orthoapart import (
     complement_within,
     image_of,
     intersect,
+    is_compatible,
     materialize,
     orthogonal,
     projection_of,
@@ -47,7 +48,7 @@ from orthoapart.apartments import (
     standard_apartment,
 )
 from orthoapart.cli import SCHEMA_VERSION
-from orthoapart.errors import DimensionMismatch, SingularMatrix
+from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, SingularMatrix
 from orthoapart.matrices import Vector, inner, vector
 from orthoapart.scalars import I, ONE, ZERO, GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
@@ -194,6 +195,44 @@ def lattice_refine(family: Sequence[Subspace]) -> Frame:
                     break
             if changed:
                 break
+
+    lines: List[Subspace] = []
+    for block in blocks:
+        lines.extend(split_into_lines(block))
+    return Frame(n, tuple(lines))
+
+
+def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
+    """`refine_to_frame` before exact traces: a pairwise compatibility scan up
+    front, then one normalized product per member and block, compared with
+    the block and subtracted from it through negation and addition."""
+    if not family:
+        if ambient_dim is None:
+            raise OrthoapartError("ambient_dim required for an empty family")
+        return Frame.standard(ambient_dim)
+    n = family[0].ambient_dim
+    if ambient_dim is not None and ambient_dim != n:
+        raise OrthoapartError("ambient_dim disagrees with the family's ambient dimension")
+    for i, x in enumerate(family):
+        if x.ambient_dim != n:
+            raise DimensionMismatch(
+                f"family member {i} has ambient dimension {x.ambient_dim}, member 0 has {n}"
+            )
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if not is_compatible(family[i], family[j]):
+                raise IncompatibleFamily(i, j)
+
+    blocks: List[Subspace] = [Subspace.full(n)]
+    for x in family:
+        split: List[Subspace] = []
+        for y in blocks:
+            z = x.proj @ y.proj
+            if z.is_zero() or z == y.proj:
+                split.append(y)
+            else:
+                split += [Subspace(z), Subspace(y.proj + -z)]
+        blocks = split
 
     lines: List[Subspace] = []
     for block in blocks:
