@@ -7,8 +7,8 @@ labeling assigns to each frame line either an eigenvalue slot or nothing
 (the kernel), with exactly dims[t] lines per slot t.  All the subset
 predicates are label comparisons, so counting is exact by construction, and
 a scan of all member pairs reads member 0's (overlap, count) cells
-(pair_cells), computed by a transfer over its rows whose states do not grow
-with n.
+(pair_cells) off one transfer over its slot rows, which does not depend on
+n (slot_transfer), read at each n (read_cells).
 
 Inexactness is read from label columns: two frame lines lie in one S_i
 exactly when every member labels them alike, so one grouping of the lines
@@ -199,15 +199,77 @@ def _rows(left: Tuple[int, ...], d: int) -> List[List[Tuple[int, int]]]:
     return rows
 
 
-def _merge(cells: dict, key, weight: int, first: int) -> None:
-    """Add weight to cells[key] and keep the least first index."""
+def _merge(cells: dict, key, weight: int, first) -> None:
+    """Add weight to cells[key] and keep the least first member."""
     w, f = cells.get(key, (0, first))
     cells[key] = (w + weight, min(f, first))
 
 
-def pair_cells(cls: ClassDescriptor) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """(overlap, n_count) against member 0 -> (weight, first): the number of
-    other members in that cell and the least enumeration index among them.
+def slot_transfer(dims: Tuple[int, ...]) -> dict:
+    """pair_cells' transfer over a's slot rows, for every n at once: state
+    (column sums left, still diagonal) -> {sum C(c, 2) so far: (weight, least
+    prefix)}, the None column opened at capacity k, which no slot row can
+    exhaust.  A prefix is b's labels on a's k slot lines, None read as m.  A
+    class of more than MAX_TRANSFER_STATES states is refused at once."""
+    bound = math.prod(d + 1 for d in dims)
+    if bound > MAX_TRANSFER_STATES:
+        raise OrthoapartError(f"dims {list(dims)} need {bound} transfer states (the product of "
+                              f"d + 1), over the limit {MAX_TRANSFER_STATES}")
+    states = {(dims + (sum(dims),), True): {0: (1, ())}}
+    for s, d in enumerate(dims):
+        after_row: dict = {}
+        for (left, diagonal), cells in states.items():
+            for row in _rows(left, d):
+                rest = list(left)
+                for t, c in row:
+                    rest[t] -= c
+                labels = tuple(t for t, c in row for _ in range(c))
+                weight = _multinomial([c for _, c in row])
+                alike = sum(c * (c - 1) // 2 for _, c in row)
+                target = after_row.setdefault((tuple(rest), diagonal and row == [(s, d)]), {})
+                for same, (w, prefix) in cells.items():
+                    _merge(target, same + alike, w * weight, prefix + labels)
+        states = after_row
+    return states
+
+
+def read_cells(transfer: dict, cls: ClassDescriptor) -> dict:
+    """(overlap, n_count) -> (weight, least prefix) at cls.n off slot_transfer.
+    A state with o of its k None places left has overlap o and is feasible
+    iff k - o <= n - k; the forced None row joins its multinomial to the
+    weight and its C(c, 2) terms to the count.  a itself is dropped."""
+    n, k = cls.n, cls.rank
+    base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in cls.dims + (n - k,))
+    result: dict = {}
+    for (left, diagonal), cells in transfer.items():
+        overlap = left[-1]
+        row = left[:-1] + (n - 2 * k + overlap,)
+        if not diagonal and row[-1] >= 0:
+            weight = _multinomial(row)
+            count = base + sum(c * (c - 1) // 2 for c in row)
+            for same, (w, prefix) in cells.items():
+                _merge(result, (overlap, count + same), w * weight, prefix)
+    return result
+
+
+def first_index(prefix: Tuple[int, ...], cls: ClassDescriptor) -> int:
+    """The enumeration index of the member with this prefix on a's slot lines
+    and its other labels ascending: its rank among the label orderings, a
+    smaller label v at a place counting P * left[v] / (places left)."""
+    left, remaining, rank = [*cls.dims, cls.n - cls.rank], cls.n, 0
+    orderings = _multinomial(left)
+    for t in prefix:
+        rank += orderings * sum(left[:t]) // remaining
+        orderings = orderings * left[t] // remaining
+        left[t] -= 1
+        remaining -= 1
+    return rank
+
+
+def pair_cells(cls: ClassDescriptor) -> Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]:
+    """(overlap, n_count) against member 0 -> (weight, prefix): the number of
+    other members in that cell and the least of them, as its labels on
+    member 0's slot lines (first_index gives its index).
 
     Member 0, a, labels the first d_0 frame lines 0, the next d_1 lines 1,
     ..., and the last n - k lines None.  A member b meets it in the joint
@@ -216,58 +278,17 @@ def pair_cells(cls: ClassDescriptor) -> Dict[Tuple[int, int], Tuple[int, int]]:
       overlap = the sum of the cells with s and t both slots,
       count = C(n, 2) - 2 sum_s C(r_s, 2) + sum_{s,t} C(c_st, 2),
       #members = prod_s multinomial(r_s; c_s.),
-    and its first member, which sorts each of a's blocks ascending, slots
-    before None, has as index its rank among the orderings of the labels.
-    Only the column sums couple a's rows, so a transfer walks the slot rows
-    with state (column sums left, still diagonal).  A row adds to the rank
-    an amount fixed by the state and the row, so the least index is carried
-    as a minimum.  The None row is forced, and the diagonal table, a itself,
-    is dropped.  After each row there are at most prod_t (d_t + 1) states
-    besides the diagonal one, whatever n is.
+    and its first member sorts each of a's blocks ascending, slots before
+    None.  Only the column sums couple a's rows, so a transfer walks the slot
+    rows (slot_transfer), at most prod_t (d_t + 1) states after each besides
+    the diagonal one, and read_cells closes the None row at n.  Members
+    compare on a's slot lines first, so the least prefix is the least member
+    and prefix order is index order, at every n.
 
     S_n moves member 0 to any member and keeps both numbers, so a cell of
     weight w holds w*M/2 of the C(M, 2) member pairs, the first in (s, t)
-    order being [0, first].  A class of more than MAX_TRANSFER_STATES
-    states is refused before the walk starts."""
-    bound = math.prod(d + 1 for d in cls.dims)
-    if bound > MAX_TRANSFER_STATES:
-        raise OrthoapartError(
-            f"dims {list(cls.dims)} need {bound} transfer states (the product of d + 1), "
-            f"over the limit {MAX_TRANSFER_STATES}"
-        )
-    n, k = cls.n, cls.rank
-    r = cls.dims + (n - k,)
-    # (column sums left, still diagonal) -> {sum C(c, 2) so far: (weight, least rank)}
-    states = {(r, True): {0: (1, 0)}}
-    for s, d in enumerate(cls.dims):
-        after_row: dict = {}
-        for (left, diagonal), cells in states.items():
-            starts, all_orderings = [0, *accumulate(left)], _multinomial(left)
-            for row in _rows(left, d):
-                rest, remaining, orderings, rank, placed = list(left), starts[-1], all_orderings, 0, 0
-                for t, c in row:
-                    below = starts[t] - placed  # labels before t still to place
-                    for _ in range(c):
-                        rank += orderings * below // remaining
-                        orderings = orderings * rest[t] // remaining
-                        rest[t] -= 1
-                        remaining -= 1
-                    placed += c
-                weight = _multinomial([c for _, c in row])
-                alike = sum(c * (c - 1) // 2 for _, c in row)
-                target = after_row.setdefault((tuple(rest), diagonal and row == [(s, d)]), {})
-                for same, (w, first) in cells.items():
-                    _merge(target, same + alike, w * weight, first + rank)
-        states = after_row
-    base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in r)
-    result: dict = {}
-    for (left, diagonal), cells in states.items():
-        if not diagonal:
-            overlap, weight = k - sum(left[:-1]), _multinomial(left)
-            count = base + sum(c * (c - 1) // 2 for c in left)
-            for same, (w, first) in cells.items():
-                _merge(result, (overlap, count + same), w * weight, first)
-    return result
+    order being [0, first_index(prefix, cls)]."""
+    return read_cells(slot_transfer(cls.dims), cls)
 
 
 def lemma3_bound(k: int, m: int, n: int) -> int:

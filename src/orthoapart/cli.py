@@ -24,10 +24,13 @@ from . import serialize
 from .apartments import (
     Apartment,
     c_eval,
+    first_index,
     is_orthogonally_inexact,
     lemma3_bound,
     member_count,
     pair_cells,
+    read_cells,
+    slot_transfer,
 )
 from .compatibility import check_refine_work, refine_to_frame
 from .errors import IncompatibleFamily, OrthoapartError, ThresholdViolation
@@ -61,25 +64,25 @@ def _check_frame(cls: ClassDescriptor, frame_path: Optional[str]) -> None:
 
 
 def _cells_by_first(cells: dict, members: int):
-    """(m, count, first pair, pairs) for each cell of member 0, in order of
-    its first pair [0, first] (see pair_cells)."""
-    for (m, count), (w, first) in sorted(cells.items(), key=lambda cell: cell[1][1]):
-        yield m, count, [0, first], w * members // 2
+    """(m, count, prefix, pairs) for each cell of member 0, in order of its
+    prefix, which is the order of its first pair (see pair_cells)."""
+    for (m, count), (w, prefix) in sorted(cells.items(), key=lambda cell: cell[1][1]):
+        yield m, count, prefix, w * members // 2
 
 
 def _lemma3_violations(cls: ClassDescriptor, cells: dict, members: int) -> list:
     bounds = [lemma3_bound(cls.rank, m, cls.n) for m in range(cls.rank + 1)]
     return [
-        {"pair": pair, "m": m, "count": count, "bound": bounds[m], "pairs": pairs}
-        for m, count, pair, pairs in _cells_by_first(cells, members) if count < bounds[m]
+        {"pair": [0, first_index(prefix, cls)], "m": m, "count": count, "bound": bounds[m], "pairs": pairs}
+        for m, count, prefix, pairs in _cells_by_first(cells, members) if count < bounds[m]
     ]
 
 
 def _lemma4_disagreements(cls: ClassDescriptor, cells: dict, members: int) -> list:
     k2 = cls.rank ** 2
     return [
-        {"pair": pair, "by_count": count == k2, "direct": m == 0, "pairs": pairs}
-        for m, count, pair, pairs in _cells_by_first(cells, members) if (count == k2) != (m == 0)
+        {"pair": [0, first_index(prefix, cls)], "by_count": count == k2, "direct": m == 0, "pairs": pairs}
+        for m, count, prefix, pairs in _cells_by_first(cells, members) if (count == k2) != (m == 0)
     ]
 
 
@@ -147,24 +150,25 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
     """For each even-or-odd n with 2k < n < 4k in the range: tabulate c(0)
     against c((4k-n)/2) when that point is integral, and count the
     non-orthogonal member pairs attaining count k^2: the weight of member
-    0's cells with that property times M/2 (see pair_cells).  The first
-    such pair in (s, t) order is [0, t] for the least first index t of those
-    cells.  Findings are reported, not asserted."""
+    0's cells with that property times M/2, read at each n off one transfer
+    (see pair_cells).  The first such pair in (s, t) order is [0, t], t the
+    index of those cells' least prefix.  Findings are reported, not
+    asserted."""
     k = sum(cls_dims)
     ClassDescriptor(k, tuple(alphas), tuple(cls_dims))  # a bad class is an error before any n
     lo, hi = n_range
     ns = range(max(lo, 2 * k + 1), min(hi, 4 * k - 1) + 1)
     if not ns:
         raise OrthoapartError(f"empty scan range: need 2k < n < 4k for k={k}")
-    entries = []
+    transfer, entries = slot_transfer(tuple(cls_dims)), []
     for n in ns:
         cls = ClassDescriptor(n, tuple(alphas), tuple(cls_dims))
         c0 = c_eval(0, k, n)
         m_star = Fraction(4 * k - n, 2)
         integral = m_star.denominator == 1 and 0 < m_star < k
-        cells = pair_cells(cls)
         members = member_count(cls)
-        hits = [(w, first) for (m, count), (w, first) in cells.items() if m != 0 and count == k * k]
+        cells = read_cells(transfer, cls).items()
+        hits = [(w, prefix) for (m, count), (w, prefix) in cells if m != 0 and count == k * k]
         entries.append({
             "n": n,
             "c0": str(c0),
@@ -173,7 +177,7 @@ def cmd_scan_boundary(cls_dims: Tuple[int, ...], alphas, n_range: Tuple[int, int
             "c_at_m_star": str(c_eval(m_star, k, n)) if integral else None,
             "c0_equals_c_m_star": bool(integral and c_eval(m_star, k, n) == c0),
             "nonorthogonal_pairs_with_k_squared": sum(w for w, _ in hits) * members // 2,
-            "first_such_pair": [0, min(first for _, first in hits)] if hits else None,
+            "first_such_pair": [0, first_index(min(p for _, p in hits), cls)] if hits else None,
         })
     return {
         "schema_version": SCHEMA_VERSION,

@@ -33,7 +33,10 @@ from orthoapart import (
 from orthoapart.apartments import (
     MAX_TRANSFER_STATES,
     _member_assignments,
+    first_index,
     pair_cells,
+    read_cells,
+    slot_transfer,
 )
 from orthoapart.compatibility import Frame
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
@@ -54,6 +57,7 @@ from util import (
     oracle_member_assignments,
     oracle_member_row,
     oracle_n_count,
+    oracle_pair_cells,
     oracle_support_indices,
     oracle_verify_maximal_inexact,
     random_frame,
@@ -389,30 +393,42 @@ def test_member_tables_match_member_row_oracle():
                 first = {}
                 for i, cell in enumerate(row, 1):
                     first.setdefault(cell, i)
-                assert {cell: f for cell, (_, f) in cells.items()} == first, cls
+                assert {cell: first_index(p, cls) for cell, (_, p) in cells.items()} == first, cls
                 hits = [i for i, (m, count) in enumerate(row, 1) if m != 0 and count == k * k]
-                ranks = [f for (m, count), (_, f) in cells.items() if m != 0 and count == k * k]
+                ranks = [first_index(p, cls) for (m, count), (_, p) in cells.items() if m != 0 and count == k * k]
                 assert min(ranks, default=None) == (hits[0] if hits else None), cls
                 classes += 1
     assert classes == 158
 
 
 def test_pair_cells_match_member_tables():
-    # every composition of k <= 5 and every n with k <= n <= 4k + 2, n < 2k
-    # included (some tables are then infeasible): the transfer's weight and
-    # least index per (overlap, count) cell against the listed tables
-    classes = 0
-    for k in range(1, 6):
+    # every composition of k <= 6 and every n with k <= n <= 4k + 2, n < 2k
+    # included (the None column then binds and some tables are infeasible):
+    # one slot transfer per dims, read at each n, against pair_cells, against
+    # the transfer run again at that n, and against the listed tables' weight
+    # and least index per (overlap, count) cell.  Listing the k = 6 tables
+    # takes 1-2 s per n, so they are listed only up to n = 2k: where the None
+    # column binds and the first n where it does not
+    classes = listed = 0
+    for k in range(1, 7):
         for dims in compositions(k):
+            transfer = slot_transfer(dims)
             for n in range(k, 4 * k + 3):
                 cls = cls_of(n, dims)
+                cells = read_cells(transfer, cls)
+                assert cells == pair_cells(cls), cls
+                got = {cell: (w, first_index(prefix, cls)) for cell, (w, prefix) in cells.items()}
+                assert got == oracle_pair_cells(cls), cls
+                classes += 1
+                if k == 6 and n > 2 * k:
+                    continue
                 want = {}
                 for t in member_tables(cls):
                     w, first = want.get((t.overlap, t.count), (0, math.inf))
                     want[t.overlap, t.count] = (w + t.weight, min(first, first_member_rank(cls, t.cells)))
-                assert pair_cells(cls) == want, cls
-                classes += 1
-    assert classes == 480
+                assert got == want, cls
+                listed += 1
+    assert (classes, listed) == (1152, 480 + 32 * 7)
 
 
 def test_pair_cells_bound_their_states():

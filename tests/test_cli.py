@@ -15,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthoapart import cli, serialize
+from orthoapart import apartments, cli, serialize
 from orthoapart.apartments import (
     MAX_TRANSFER_STATES,
     Labeling,
     PairIndex,
     pair_cells,
     rotated_frame,
+    slot_transfer,
     standard_apartment,
 )
 from orthoapart.compatibility import MAX_REFINE_WORK, Frame, check_refine_work
@@ -612,6 +613,26 @@ def test_scan_boundary_matches_pair_walk_oracle():
     assert found == {True, False}  # ranges with and without hits
 
 
+def test_scan_boundary_matches_per_n_transfer():
+    # every composition of k <= 5 over its whole range 2k < n < 4k, 15
+    # entries with two or three hit cells: the count and the first pair
+    # against the transfer run again at each n, whose first indices are
+    # minimized directly
+    several = 0
+    for k in range(1, 6):
+        for dims in compositions(k):
+            alphas = tuple(Fraction(i + 1) for i in range(len(dims)))
+            for entry in cmd_scan_boundary(dims, alphas, (1, 4 * k))["entries"]:
+                cls = ClassDescriptor(entry["n"], alphas, dims)
+                cells = util.oracle_pair_cells(cls).items()
+                hits = sorted((f, w) for (m, count), (w, f) in cells if m != 0 and count == k * k)
+                members = math.perm(cls.n, k) // math.prod(map(math.factorial, dims))
+                assert entry["nonorthogonal_pairs_with_k_squared"] == sum(w for _, w in hits) * members // 2
+                assert entry["first_such_pair"] == ([0, hits[0][0]] if hits else None), (dims, cls.n)
+                several += len(hits) > 1
+    assert several == 15
+
+
 def test_label_commands_at_large_n(capsys):
     # the table count does not grow with n, so M = 124,992 and M ~ 8e16 are quick
     for argv in (["verify-lemma3", "--n", "64", "--alphas", "1,2", "--dims", "1,2"],
@@ -682,6 +703,33 @@ def test_label_commands_refuse_too_many_transfer_states(argv, capsys):
         in captured.err
 
 
+def test_scan_boundary_reads_one_transfer_for_the_range(capsys):
+    # dims 7,7,7 have 512 transfer states and 41 values of n in 2k < n < 4k;
+    # a transfer run again at each n took 22.8 s
+    argv = ["scan-boundary", "--alphas", "1,2,3", "--dims", "7,7,7", "--n-range", "1:1000"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 5
+    report = json.loads(capsys.readouterr().out)
+    assert [e["n"] for e in report["entries"]] == list(range(43, 84))
+
+
+@pytest.mark.parametrize("argv", [["verify-lemma3", "--n", "9"], ["verify-lemma4", "--n", "16"],
+                                  ["scan-boundary", "--n-range", "9:15"]])
+def test_label_commands_run_one_transfer(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(dims):
+        calls.append(dims)
+        return slot_transfer(dims)
+
+    monkeypatch.setattr(apartments, "slot_transfer", counted)
+    monkeypatch.setattr(cli, "slot_transfer", counted)
+    assert main(argv + ["--alphas", "1,2", "--dims", "2,2"]) == 0
+    assert calls == [(2, 2)]
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
 def assert_listed_by_cell(cls, got, bad_pairs):
     """`got` has one entry per (overlap, count) cell of the oracle's bad
     pairs, in first-pair order, each with the cell's first pair and size.
@@ -715,6 +763,17 @@ def test_lemma3_violations_listed_like_the_oracle(monkeypatch):
             (m, count, raised(cls.rank, m, cls.n)) for m, count in cells]
         got.pop("violations"), want.pop("violations")
         assert report_bytes(got) == report_bytes(want)
+
+
+def test_every_cell_listed_in_first_pair_order(monkeypatch):
+    # a bound over every count makes every pair a violation: one entry per
+    # (m, count) cell, in the order of the cells' first pairs, which the
+    # commands read off the cells' prefixes
+    monkeypatch.setattr(cli, "lemma3_bound", lambda k, m, n: n * n)
+    for cls in (cls_of(7, (1, 2)), cls_of(8, (3,)), cls_of(8, (1, 1, 1))):
+        got = cmd_verify_lemma3(cls)["violations"]
+        assert len(got) >= 3
+        assert_listed_by_cell(cls, got, [(s, t) for s, t, _, _ in member_pairs(cls)])
 
 
 def test_lemma4_disagreements_below_threshold_listed_like_the_oracle():

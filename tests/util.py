@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from orthoapart import (
@@ -40,8 +40,10 @@ from orthoapart import serialize
 from orthoapart.apartments import (
     Slot,
     _member_assignments,
+    _merge,
     _multinomial,
     _pair_mask,
+    _rows,
     c_eval,
     enumerate_members,
     lemma3_bound,
@@ -413,8 +415,9 @@ def permutation_inducer(t: MemberPermutation) -> Optional[Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# member-0 oracles for pair_cells: the joint-label tables listed one by one,
-# the members read one by one, and the exhaustive pair walk
+# member-0 oracles for pair_cells: the transfer run again at each n, the
+# joint-label tables listed one by one, the members read one by one, and the
+# exhaustive pair walk
 
 def oracle_member_row(cls: ClassDescriptor) -> List[Tuple[int, int]]:
     """(image overlap, n_count) of member 0 against each member t >= 1, in
@@ -498,6 +501,46 @@ def first_member_rank(cls: ClassDescriptor, cells: Sequence[Sequence[int]]) -> i
                 left[t] -= 1
                 remaining -= 1
     return rank
+
+
+def oracle_pair_cells(cls: ClassDescriptor) -> dict:
+    """pair_cells with each cell's least enumeration index in place of its
+    prefix, by one transfer at this n: the None column is closed at n - k
+    from the start, and each row adds to the least index an amount fixed by
+    the state and the row, so the index is carried as a minimum."""
+    n, k = cls.n, cls.rank
+    r = cls.dims + (n - k,)
+    # (column sums left, still diagonal) -> {sum C(c, 2) so far: (weight, least rank)}
+    states = {(r, True): {0: (1, 0)}}
+    for s, d in enumerate(cls.dims):
+        after_row: dict = {}
+        for (left, diagonal), cells in states.items():
+            starts, all_orderings = [0, *accumulate(left)], _multinomial(left)
+            for row in _rows(left, d):
+                rest, remaining, orderings, rank, placed = list(left), starts[-1], all_orderings, 0, 0
+                for t, c in row:
+                    below = starts[t] - placed  # labels before t still to place
+                    for _ in range(c):
+                        rank += orderings * below // remaining
+                        orderings = orderings * rest[t] // remaining
+                        rest[t] -= 1
+                        remaining -= 1
+                    placed += c
+                weight = _multinomial([c for _, c in row])
+                alike = sum(c * (c - 1) // 2 for _, c in row)
+                target = after_row.setdefault((tuple(rest), diagonal and row == [(s, d)]), {})
+                for same, (w, first) in cells.items():
+                    _merge(target, same + alike, w * weight, first + rank)
+        states = after_row
+    base = math.comb(n, 2) - 2 * sum(math.comb(x, 2) for x in r)
+    result: dict = {}
+    for (left, diagonal), cells in states.items():
+        if not diagonal:
+            overlap, weight = k - sum(left[:-1]), _multinomial(left)
+            count = base + sum(c * (c - 1) // 2 for c in left)
+            for same, (w, first) in cells.items():
+                _merge(result, (overlap, count + same), w * weight, first)
+    return result
 
 
 def oracle_joint_table(cls: ClassDescriptor, a, b) -> Tuple[Tuple[int, ...], ...]:
