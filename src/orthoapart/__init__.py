@@ -9,12 +9,11 @@ obstruction constructions.
 """
 
 from .scalars import GaussianRational, parse_scalar, as_scalar
-from .matrices import Matrix, inner, vector
+from .matrices import Matrix, vector
 from .subspaces import (
     Subspace,
     complement_within,
     intersect,
-    orthogonalize,
     projection_of,
     span_sum,
 )
@@ -62,14 +61,12 @@ __all__ = [
     "parse_scalar",
     "as_scalar",
     "Matrix",
-    "inner",
     "vector",
     "Subspace",
     "projection_of",
     "intersect",
     "span_sum",
     "complement_within",
-    "orthogonalize",
     "Frame",
     "is_compatible",
     "projections_commute",

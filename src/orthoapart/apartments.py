@@ -403,11 +403,9 @@ def rotated_frame(ap: Apartment, p: PairIndex) -> Frame:
     ratio of the two line norms is a rational square (always true for the
     standard frame); otherwise this raises.
     """
-    from .matrices import inner, real_fraction
-
     vi = ap.frame.lines[p.i].line_vector()
     vj = ap.frame.lines[p.j].line_vector()
-    ratio = real_fraction(inner(vi, vi)) / real_fraction(inner(vj, vj))
+    ratio = sum(x.norm_sq() for x in vi) / sum(x.norm_sq() for x in vj)
     rn, rd = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
     if rn * rn != ratio.numerator or rd * rd != ratio.denominator:
         raise OrthoapartError(

@@ -14,6 +14,7 @@ usage and error text for every other argv.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -440,6 +441,12 @@ def main(argv=None) -> int:
         return 2
     return _emit(report, payload, args)
 
+
+# A command runs once per process, and what the imports made lives until it
+# exits: keep those objects out of the collections that the command triggers,
+# so that a command's time does not depend on how many objects the imports
+# happened to allocate.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,14 +3,14 @@
 A matrix is integer rows ``re`` and ``im`` (None when real) over one
 denominator ``den > 0``, with gcd(den, entries) = 1: one representation per
 value, so equality and hashing are tuple compares.  `GaussianRational` is
-the boundary type of the constructors and of entry access.  One routine,
-fraction-free Gauss-Jordan (Bareiss 1968) pivoting on the first nonzero
-entry of each column, serves `rref`, `kernel_basis`, `column_space_basis`
-and `inverse`; a complex matrix is eliminated as its real embedding, a + bi
-becoming [[a, -b], [b, a]], whose reduced form embeds the complex one (so
-complex column j is a pivot iff real column 2j is).  Matrices are immutable.
-Projections need no elimination: `gram_schmidt` orthogonalizes integer
-columns, and `projection_matrix` sums P = sum (L/d) u u* over L = lcm(d = u*u).
+the boundary type of the constructors and of entry access.  Matrices are
+immutable.  Projections need no elimination: `gram_schmidt` orthogonalizes
+integer columns, and `projection_matrix` sums P = sum (L/d) u u* over
+L = lcm(d = u*u).  `rref` and `inverse` are fraction-free Gauss-Jordan
+(Bareiss 1968) pivoting on the first nonzero entry of each column; a complex
+matrix is eliminated as its real embedding, a + bi becoming [[a, -b], [b, a]],
+whose reduced form embeds the complex one (so complex column j is a pivot iff
+real column 2j is).  The subspace lattice uses neither.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import GaussianRational, ONE, ZERO, _make as _scalar, as_scalar
+from .scalars import GaussianRational, ZERO, _make as _scalar, as_scalar
 
 Vector = Tuple[GaussianRational, ...]
 Rows = Optional[Sequence[Sequence[int]]]  # None is a zero imaginary part
@@ -30,16 +30,6 @@ Rows = Optional[Sequence[Sequence[int]]]  # None is a zero imaginary part
 
 def vector(entries: Iterable) -> Vector:
     return tuple(as_scalar(e) for e in entries)
-
-
-def inner(u: Sequence, v: Sequence) -> GaussianRational:
-    """Hermitian inner product <u, v> = sum conj(u_i) v_i."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} vs {len(v)}")
-    acc = ZERO
-    for a, b in zip(u, v):
-        acc = acc + as_scalar(a).conjugate() * as_scalar(b)
-    return acc
 
 
 def _comb(s: int, x: Rows, t: int = 0, y: Rows = None) -> Rows:
@@ -164,11 +154,6 @@ class Matrix:
 
     def columns(self) -> List[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def select_columns(self, js: Sequence[int]) -> "Matrix":
-        """The submatrix of the columns js, in that order."""
-        pick = lambda x: x and [[r[j] for j in js] for r in x]  # noqa: E731
-        return Matrix._make(self._den, pick(self._re), pick(self._im), self.rows, len(js))
 
     def integer_columns(self) -> Iterator[tuple]:
         """The columns' numerators over the one denominator."""
@@ -299,50 +284,18 @@ class Matrix:
         re, im = [r[0::2] for r in m[0::2]], [[-x for x in r[1::2]] for r in m[0::2]]
         return Matrix._make(d, re, im, self.rows, self.cols), tuple(p // 2 for p in pivots[0::2])
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> List[Vector]:
-        """Basis of the right null space, one vector per free column."""
-        r, pivots = self.rref()
-        basis = []
-        for f in (j for j in range(self.cols) if j not in pivots):
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for row_idx, p in enumerate(pivots):
-                v[p] = -r[row_idx, f]
-            basis.append(tuple(v))
-        return basis
-
-    def column_space_basis(self) -> List[Vector]:
-        """The pivot columns of the original matrix: a basis of the column space."""
-        _, pivots = self.rref()
-        return [self.column(j) for j in pivots]
-
     def inverse(self) -> "Matrix":
+        """The inverse, read off the reduced form of [A | I]."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        r, pivots = self.hstack(Matrix.identity(n)).rref()
+        re = [list(r) + [self._den * (i == j) for j in range(n)] for i, r in enumerate(self._re)]
+        im = self._im and [list(r) + [0] * n for r in self._im]
+        r, pivots = Matrix._make(self._den, re, im, n, 2 * n).rref()
         if pivots != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return r.select_columns(range(n, 2 * n))
-
-    # -- stacking ----------------------------------------------------------
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return self.transpose().vstack(other.transpose()).transpose()
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        den = lcm(self._den, other._den)
-        parts = [(m, den // m._den, [[0] * m.cols] * m.rows) for m in (self, other)]
-        re = [r for m, k, _ in parts for r in _comb(k, m._re)]
-        im = [r for m, k, zero in parts for r in _comb(k, m._im) or zero]
-        return Matrix._make(den, re, im, self.rows + other.rows, self.cols)
+        right = lambda x: x and [row[n:] for row in x]  # noqa: E731
+        return Matrix._make(r._den, right(r._re), right(r._im), n, n)
 
     # -- misc --------------------------------------------------------------
 
@@ -409,10 +362,3 @@ def projection_matrix(basis: Sequence[tuple], n: int) -> Matrix:
             if ui:
                 re[r], im[r] = _axpy(re[r], b, ui), _axpy(_axpy(im[r], b, ur), -a, ui)
     return Matrix._make(den, re, im, n, n)
-
-
-def real_fraction(x: GaussianRational) -> Fraction:
-    """Assert a scalar is real and return it as a Fraction."""
-    if not x.is_real:
-        raise ValueError(f"expected a real scalar, got {x}")
-    return x.re

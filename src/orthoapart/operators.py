@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DimensionMismatch, OrthoapartError, Value
-from .matrices import Matrix, real_fraction
+from .matrices import Matrix
 from .compatibility import is_compatible
 from .subspaces import Subspace
 
@@ -83,9 +83,6 @@ class SpectralOperator(Value):
     def n(self) -> int:
         return self.cls.n
 
-    def eigenspace(self, slot: int) -> Subspace:
-        return self.eigenspaces[slot][1]
-
 
 def materialize(a: SpectralOperator) -> Matrix:
     """The Hermitian matrix sum alpha_i P_{X_i}."""
@@ -130,7 +127,10 @@ def orthogonal(a: SpectralOperator, b: SpectralOperator) -> bool:
 
 def hs_inner(a: SpectralOperator, b: SpectralOperator) -> Fraction:
     """Trace pairing tr(AB); real, symmetric, preserved by unitary and
-    (for self-adjoint operators) anti-unitary conjugation."""
+    (for self-adjoint operators) anti-unitary conjugation.  For Hermitian A
+    and B it is the integer Frobenius sum of their numerators, with no
+    product built."""
     if a.n != b.n:
         raise DimensionMismatch("operators in different ambient dimensions")
-    return real_fraction((materialize(a) @ materialize(b)).trace())
+    ma, mb = materialize(a), materialize(b)
+    return Fraction(ma.frobenius(mb), ma.den * mb.den)

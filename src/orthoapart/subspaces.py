@@ -4,17 +4,18 @@ A subspace is represented by its projection matrix P = sum u u*/(u*u) over
 any orthogonal basis u of the span, here the integer Gram-Schmidt basis of
 its spanning vectors.  P is rational, so no square roots appear; it is summed
 in integers on one canonical denominator, so subspaces are equal iff their
-projections are entrywise equal.  Meet, join, relative orthocomplement are exact.
+projections are entrywise equal.  The lattice operations are exact and need
+no elimination: the join is the projection onto the projections' integer
+columns, the orthocomplement is I - P, and the meet is X ^ Y = (X^perp + Y^perp)^perp.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .matrices import Matrix, Vector, gram_schmidt, projection_matrix, vector
-from .scalars import GaussianRational
 
 
 class Subspace:
@@ -122,33 +123,17 @@ def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None, *
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Set-theoretic intersection: the common fixed space of both projections."""
-    x._same_ambient(y)
-    n = x.ambient_dim
-    eye = Matrix.identity(n)
-    stacked = (x.proj - eye).vstack(y.proj - eye)
-    return projection_of(stacked.kernel_basis(), ambient_dim=n)
+    """Set-theoretic intersection, as (x^perp + y^perp)^perp."""
+    return span_sum(x.perp(), y.perp()).perp()
 
 
 def span_sum(x: Subspace, y: Subspace) -> Subspace:
-    """Smallest subspace containing both: span of the union."""
+    """Smallest subspace containing both: the span of both projections' columns."""
     x._same_ambient(y)
-    cols = x.proj.columns() + y.proj.columns()
-    return projection_of(cols, ambient_dim=x.ambient_dim)
+    cols = [*x.proj.integer_columns(), *y.proj.integer_columns()]
+    return projection_of(cols, ambient_dim=x.ambient_dim, integer=True)
 
 
 def complement_within(x: Subspace, y: Subspace) -> Subspace:
-    """x^perp intersected with y."""
-    return intersect(x.perp(), y)
-
-
-def orthogonalize(vectors: Sequence[Sequence]) -> List[Vector]:
-    """Exact Gram-Schmidt without normalization.
-
-    Returns pairwise-orthogonal rational vectors spanning the same subspace;
-    dependent inputs are dropped.  No square roots: each vector is the
-    primitive integer multiple that fraction-free arithmetic produces.
-    """
-    vecs = list(vectors)
-    us = gram_schmidt(Matrix.from_columns(vecs).integer_columns()) if vecs else ()
-    return [vector(map(GaussianRational, re, im or [0] * len(re))) for re, im, _ in us]
+    """x^perp intersected with y, as (x + y^perp)^perp."""
+    return span_sum(x, y.perp()).perp()

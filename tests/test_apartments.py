@@ -25,6 +25,7 @@ from orthoapart import (
     membership_labeling,
     n_count,
     orthogonal,
+    projection_of,
     rotated_frame,
     standard_apartment,
     type_one_subset,
@@ -482,6 +483,15 @@ def test_rotated_frame_cross_validation():
         shared.add(lab.assignment)
     expected = {m.assignment for m in type_one_subset(p, cls)}
     assert shared == expected
+
+
+def test_rotated_frame_refuses_norms_not_a_rational_square_apart():
+    # the lines' lead columns are (1/2, 1/2, 0) and (0, 0, 1): norm ratio 1/2
+    lines = tuple(projection_of([v]) for v in ([1, 1, 0], [1, -1, 0], [0, 0, 1]))
+    ap = Apartment(Frame(3, lines), cls_of(3, (1,), (Fraction(1),)))
+    with pytest.raises(OrthoapartError, match="rational square"):
+        rotated_frame(ap, PairIndex(0, 2))
+    assert rotated_frame(ap, PairIndex(0, 1))
 
 
 def test_verify_maximal_inexact_small():

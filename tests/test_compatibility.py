@@ -8,18 +8,18 @@ from orthoapart import (
     Frame,
     Subspace,
     is_compatible,
-    orthogonalize,
     projection_of,
     refine_to_frame,
     span_sum,
     split_into_lines,
 )
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
-from orthoapart.matrices import Matrix, inner
+from orthoapart.matrices import Matrix, gram_schmidt
 from orthoapart.scalars import I
 
 from util import (
     SMALL,
+    inner,
     lattice_compatible,
     lattice_refine,
     oracle_dim,
@@ -372,9 +372,8 @@ def test_split_into_lines_matches_rational_gram_schmidt():
         assert lines == oracle_split_into_lines(block)
         assert Frame(block.ambient_dim, tuple(lines + split_into_lines(block.perp())))
     # the primitive vectors here are (0, ..., 0, k, -1, ..., -1)
-    ones = orthogonalize(pivot_basis(blocks[0]))
-    assert max(abs(x.re) for u in ones for x in u) == 11
-    assert all(x.re.denominator == 1 for u in ones for x in u)
+    ones = gram_schmidt(Matrix.from_columns(pivot_basis(blocks[0])).integer_columns())
+    assert max(abs(a) for re, _, _ in ones for a in re) == 11
 
 
 def test_split_into_lines_matches_both_gram_schmidt_oracles():
@@ -391,8 +390,7 @@ def test_split_into_lines_matches_both_gram_schmidt_oracles():
     for block in blocks:
         lines = split_into_lines(block)
         assert lines == oracle_split_into_lines(block)
-        p = block.proj
-        us = oracle_orthogonal_columns(p.select_columns(p.rref()[1]))
+        us = oracle_orthogonal_columns(Matrix.from_columns(pivot_basis(block), rows=3))
         assert lines == [projection_of(u.columns(), ambient_dim=3) for u in us]
     assert len(blocks) > 100
 

@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 
 from orthoapart.errors import DimensionMismatch, SingularMatrix
-from orthoapart.matrices import Matrix, inner, vector
+from orthoapart.matrices import Matrix, vector
 from orthoapart.scalars import GaussianRational, I, as_scalar
 from orthoapart.subspaces import projection_of
 
-from util import SMALL, OracleMatrix, apply, oracle_projection_of
+from util import SMALL, OracleMatrix, apply, inner, oracle_projection_of
 
 
 def rand_matrix(rows, cols, rng, complex_entries=True):
@@ -35,32 +35,35 @@ def test_adjoint_reverses_products():
     assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()
 
 
+# rank, kernel and column space are the oracle's: the package has no
+# elimination beyond rref and inverse
+
 def test_rank_and_kernel():
-    m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == 2
-    for v in m.kernel_basis():
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    m, o = Matrix(rows), OracleMatrix(rows)
+    assert o.rank() == len(m.rref()[1]) == 2
+    for v in o.kernel_basis():
         assert all(x.is_zero for x in apply(m, v))
-    assert len(m.kernel_basis()) == 3 - m.rank()
+    assert len(o.kernel_basis()) == 3 - o.rank()
 
 
 def test_kernel_of_full_rank_is_trivial():
-    m = Matrix([[1, 1], [0, 1]])
-    assert m.kernel_basis() == []
+    assert OracleMatrix([[1, 1], [0, 1]]).kernel_basis() == []
 
 
 def test_column_space_basis_spans():
-    m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    basis = m.column_space_basis()
+    o = OracleMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    basis = o.column_space_basis()
     assert len(basis) == 2
-    stacked = Matrix.from_columns(basis + [m.column(2)], rows=3)
-    assert stacked.rank() == 2  # third column dependent on the basis
+    stacked = Matrix.from_columns(basis + [o.column(2)], rows=3)
+    assert len(stacked.rref()[1]) == 2  # third column dependent on the basis
 
 
 def test_inverse():
     rng = random.Random(9)
     for _ in range(10):
         m = rand_matrix(3, 3, rng)
-        if m.rank() < 3:
+        if len(m.rref()[1]) < 3:
             continue
         assert m @ m.inverse() == Matrix.identity(3)
     with pytest.raises(SingularMatrix):
@@ -69,10 +72,10 @@ def test_inverse():
 
 def test_rank_with_complex_entries():
     m = Matrix([[GaussianRational(Fraction(1)), I], [I, GaussianRational(Fraction(1))]])
-    assert m.rank() == 2
+    assert len(m.rref()[1]) == 2
     # second row is -i times the first
     singular = Matrix([[GaussianRational(Fraction(1)), I], [I * -1, GaussianRational(Fraction(1))]])
-    assert singular.rank() == 1
+    assert len(singular.rref()[1]) == 1
 
 
 def test_shape_errors():
@@ -128,8 +131,6 @@ def assert_kernel_matches_oracle(rows, other_rows):
             assert same(m.inverse(), expected)
     (r, pivots), (orr, opivots) = m.rref(), o.rref()
     assert pivots == opivots and same(r, orr)
-    assert m.kernel_basis() == o.kernel_basis()
-    assert m.column_space_basis() == o.column_space_basis()
     n = m.rows
     assert same(projection_of(m.columns(), ambient_dim=n).proj,
                 oracle_projection_of(o.columns(), ambient_dim=n))

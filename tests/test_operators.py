@@ -18,9 +18,11 @@ from orthoapart.errors import DimensionMismatch, OrthoapartError
 
 from util import (
     apply,
+    compositions,
     conjugate_operator,
     matrices_commute,
     matrices_orthogonal,
+    random_complex_frame,
     random_frame,
     random_labeling,
     random_operator,
@@ -124,6 +126,20 @@ def test_hs_inner_examples():
     assert hs_inner(a, b) == 4  # trace diag(2,2,0)
     assert hs_inner(a, c) == 0  # orthogonal
     assert hs_inner(a, b) == hs_inner(b, a)
+
+
+def test_hs_inner_is_the_trace_of_the_product():
+    """The integer Frobenius sum equals tr(AB) on operators over complex
+    frames, for every class whose eigenspace dimensions compose k <= 3."""
+    rng = random.Random(26)
+    alphas = (Fraction(1), Fraction(-2), Fraction(1, 3))
+    for k in range(1, 4):
+        for dims in compositions(k):
+            cls = ClassDescriptor(k + 1, alphas[:len(dims)], dims)
+            for _ in range(4):
+                a, b = (random_operator(cls, rng, random_complex_frame(cls.n, rng)) for _ in range(2))
+                tr = (materialize(a) @ materialize(b)).trace()
+                assert tr.is_real and hs_inner(a, b) == tr.re == hs_inner(b, a)
 
 
 def test_image_of():

@@ -1,22 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from orthoapart.errors import DimensionMismatch
-from orthoapart.matrices import Matrix, inner
+from orthoapart.matrices import Matrix, column_inner, gram_schmidt, projection_matrix
 from orthoapart.scalars import GaussianRational, I
 from orthoapart.subspaces import (
     Subspace,
     complement_within,
     intersect,
-    orthogonalize,
     projection_of,
     span_sum,
 )
 
-from util import SMALL, contains_vector, oracle_projection_of, random_unitary
+from util import SMALL, contains_vector, oracle_intersect, oracle_projection_of, random_unitary
 
 
 def e(n, i):
@@ -160,9 +159,60 @@ def test_ambient_mismatch():
 
 def test_orthogonalize_exact():
     vecs = [[1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
-    out = orthogonalize(vecs)
+    out = list(gram_schmidt(Matrix.from_columns(vecs).integer_columns()))
     assert len(out) == 3
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert inner(out[i], out[j]).is_zero
-    assert projection_of(out) == projection_of(vecs)
+    for u, v in combinations(out, 2):
+        assert column_inner(u, v) == (0, 0)
+    assert projection_matrix(out, 3) == projection_of(vecs).proj
+
+
+# ---------------------------------------------------------------------------
+# the lattice by identities against the kernel route on Fraction entries
+
+def assert_lattice_matches_oracles(x, y):
+    n = x.ambient_dim
+    assert intersect(x, y).proj.entries() == oracle_intersect(x, y).entries()
+    expected = oracle_projection_of(x.proj.columns() + y.proj.columns(), ambient_dim=n)
+    assert span_sum(x, y).proj.entries() == expected.entries()
+    assert complement_within(x, y).proj.entries() == oracle_intersect(x.perp(), y).entries()
+
+
+def grid_spaces(n, spanning):
+    """The subspaces of C^n spanned by at most `spanning` vectors with entries
+    in {0, 1, i, 1 - i}, with the zero and the full space."""
+    vecs = [list(v) for v in product([0, 1, I, 1 - I], repeat=n)]
+    spans = [[]] + [list(s) for k in range(1, spanning + 1) for s in combinations(vecs, k)]
+    return sorted({projection_of(s, ambient_dim=n) for s in spans} | {Subspace.full(n)},
+                  key=lambda x: (x.dim, repr(x.proj)))
+
+
+def test_lattice_matches_oracles_on_every_small_pair():
+    """Every ordered pair of subspaces of C^2 spanned by at most two grid
+    vectors, and of C^3 spanned by at most one (zero and full included)."""
+    pairs = list(product(grid_spaces(2, 2), repeat=2)) + list(product(grid_spaces(3, 1), repeat=2))
+    for x, y in pairs:
+        assert_lattice_matches_oracles(x, y)
+    assert len(pairs) == 11 ** 2 + 51 ** 2
+
+
+def test_lattice_matches_oracles_on_seeded_pairs():
+    """600 pairs in C^1 to C^6 with Gaussian-rational entries, 40% of them
+    sharing a spanning vector, so that the meet is often nonzero."""
+    rng = random.Random(26)
+
+    def entry():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                rng.choice([0, 0, rng.randint(-2, 2)]))
+
+    def spanning(n):
+        return [[entry() for _ in range(n)] for _ in range(rng.randint(0, n))]
+
+    shared = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        xs, ys = spanning(n), spanning(n)
+        if rng.random() < 0.4:
+            v = [entry() for _ in range(n)]
+            xs, ys, shared = xs + [v], ys + [v], shared + 1
+        assert_lattice_matches_oracles(projection_of(xs, ambient_dim=n), projection_of(ys, ambient_dim=n))
+    assert 200 < shared < 280

@@ -51,7 +51,7 @@ from orthoapart.apartments import (
 )
 from orthoapart.cli import SCHEMA_VERSION
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, SingularMatrix
-from orthoapart.matrices import Vector, inner, vector
+from orthoapart.matrices import Vector, vector
 from orthoapart.scalars import I, ONE, ZERO, GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
 
@@ -1030,9 +1030,24 @@ def oracle_projection_of(vectors: Sequence[Sequence], ambient_dim: int) -> Oracl
     return v @ (vh @ v).inverse() @ vh
 
 
+def oracle_intersect(x: Subspace, y: Subspace) -> OracleMatrix:
+    """The projection onto x ^ y as the kernel of the stacked (P_x - I; P_y - I),
+    on the Fraction-entry oracle."""
+    eye = OracleMatrix.identity(x.ambient_dim)
+    stacked = (OracleMatrix(x.proj.entries()) - eye).vstack(OracleMatrix(y.proj.entries()) - eye)
+    return oracle_projection_of(stacked.kernel_basis(), ambient_dim=x.ambient_dim)
+
+
 def pivot_basis(x: Subspace) -> List[Vector]:
     """An exact (not normalized) basis of x: the pivot columns of its projection."""
-    return x.proj.column_space_basis()
+    return OracleMatrix(x.proj.entries()).column_space_basis()
+
+
+def inner(u: Sequence, v: Sequence) -> GaussianRational:
+    """Hermitian inner product <u, v> = sum conj(u_i) v_i."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"vector lengths {len(u)} vs {len(v)}")
+    return sum((as_scalar(a).conjugate() * as_scalar(b) for a, b in zip(u, v)), ZERO)
 
 
 def apply(m: Matrix, v: Sequence) -> Vector:
@@ -1061,7 +1076,7 @@ def oracle_orthogonal_columns(m: Matrix) -> List[Matrix]:
     each earlier output u, v becomes (u*u) v - (u*v) u, made primitive."""
     out: List[Matrix] = []
     for j in range(m.cols):
-        v = _primitive_column(m.select_columns([j]))
+        v = _primitive_column(Matrix.from_columns([m.column(j)]))
         for u in out:
             uh = u.adjoint()
             v = _primitive_column(v @ (uh @ u) - u @ (uh @ v))
