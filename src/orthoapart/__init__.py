@@ -22,7 +22,6 @@ from .operators import (
     ClassDescriptor,
     SpectralOperator,
     commutes,
-    hs_inner,
     image_of,
     materialize,
     orthogonal,
@@ -32,17 +31,13 @@ from .apartments import (
     Labeling,
     PairIndex,
     c_eval,
-    compute_S,
     decide_orthogonality_by_count,
     enumerate_members,
     is_orthogonally_inexact,
     lemma3_bound,
     member_count,
-    membership_labeling,
     n_count,
-    rotated_frame,
     standard_apartment,
-    type_one_subset,
     verify_maximal_inexact,
 )
 from .rigidity import (
@@ -77,7 +72,6 @@ __all__ = [
     "materialize",
     "commutes",
     "orthogonal",
-    "hs_inner",
     "image_of",
     "Apartment",
     "Labeling",
@@ -88,13 +82,9 @@ __all__ = [
     "n_count",
     "lemma3_bound",
     "c_eval",
-    "compute_S",
     "is_orthogonally_inexact",
-    "type_one_subset",
     "verify_maximal_inexact",
     "decide_orthogonality_by_count",
-    "rotated_frame",
-    "membership_labeling",
     "FiniteTransformation",
     "GramWitness",
     "example_orth_swap",

@@ -12,13 +12,13 @@ n (slot_transfer), read at each n (read_cells).
 
 Inexactness is read from label columns: two frame lines lie in one S_i
 exactly when every member labels them alike, so one grouping of the lines
-by their column of labels decides is_orthogonally_inexact and compute_S.
-The type-(1) sets T_ij, the members labeling lines i and j alike, are the
-maximal inexact sets by an identity (verify_maximal_inexact).
+by their column of labels decides is_orthogonally_inexact.  The type-(1)
+sets T_ij, the members labeling lines i and j alike, are the maximal
+inexact sets by an identity (verify_maximal_inexact).
 
 Labels, counts and pairings are the same in every apartment of a class, so
-only the functions that read frame lines (Labeling.to_operator, compute_S,
-rotated_frame, membership_labeling) take an Apartment; the rest take the class.
+only Labeling.to_operator, which reads frame lines, takes an Apartment; the
+rest take the class.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .compatibility import Frame
 from .errors import NotAMember, OrthoapartError, ThresholdViolation, Value
-from .operators import ClassDescriptor, SpectralOperator, image_of
-from .subspaces import Subspace, projection_of
+from .operators import ClassDescriptor, SpectralOperator
+from .subspaces import Subspace
 
 Slot = Optional[int]
 
@@ -78,9 +78,6 @@ class Labeling(Value):
 
     def __init__(self, assignment: Tuple[Slot, ...]):
         object.__setattr__(self, "assignment", tuple(assignment))
-
-    def slot(self, i: int) -> Slot:
-        return self.assignment[i]
 
     def validate(self, cls: ClassDescriptor) -> None:
         a = self.assignment
@@ -321,21 +318,6 @@ def _line_groups(members: Sequence[Labeling], n: int) -> List[List[int]]:
     return list(groups.values())
 
 
-def compute_S(i: int, members: Sequence[Labeling], ap: Apartment) -> Subspace:
-    """The subspace S_i: intersection of every maximal eigenspace of a
-    member containing line i with every image-orthocomplement of a member
-    whose image misses line i.  Spanned by the frame lines that every member
-    labels as it labels line i; contains line i; the full space for an
-    empty member set."""
-    n = ap.cls.n
-    if not 0 <= i < n:
-        raise OrthoapartError(f"frame index {i} out of range")
-    for a in members:
-        a.validate(ap.cls)
-    group = next(g for g in _line_groups(members, n) if i in g)
-    return projection_of([ap.frame.lines[j].line_vector() for j in group], ambient_dim=n)
-
-
 def is_orthogonally_inexact(
     members: Sequence[Labeling], cls: ClassDescriptor
 ) -> Tuple[bool, Optional[PairIndex]]:
@@ -355,12 +337,6 @@ def is_orthogonally_inexact(
         a.validate(cls)
     group = next((g for g in _line_groups(members, cls.n) if len(g) >= 2), None)
     return (False, None) if group is None else (True, PairIndex(group[0], group[1]))
-
-
-def type_one_subset(p: PairIndex, cls: ClassDescriptor) -> List[Labeling]:
-    """The maximal orthogonally inexact set A(+i,+j) union A(-i,-j): the
-    members that label lines i and j alike."""
-    return [a for a in enumerate_members(cls) if a.slot(p.i) == a.slot(p.j)]
 
 
 def verify_maximal_inexact(p: PairIndex, cls: ClassDescriptor) -> bool:
@@ -387,63 +363,3 @@ def decide_orthogonality_by_count(a: Labeling, b: Labeling, cls: ClassDescriptor
             f"counting characterization needs n >= 4k (n={cls.n}, k={k})"
         )
     return n_count(a, b, cls) == k * k
-
-
-# ---------------------------------------------------------------------------
-# cross-validation helpers
-
-def rotated_frame(ap: Apartment, p: PairIndex) -> Frame:
-    """A frame agreeing with ap's outside {i, j} but rotated inside the
-    plane of lines i and j: the new lines are spanned by u_i + u_j and
-    u_i - u_j for norm-balanced representatives.  Its apartment meets ap's
-    exactly in the type-(1) set, which cross-validates the inexactness
-    decision procedure.
-
-    Rational representatives of equal Hermitian norm exist only when the
-    ratio of the two line norms is a rational square (always true for the
-    standard frame); otherwise this raises.
-    """
-    vi = ap.frame.lines[p.i].line_vector()
-    vj = ap.frame.lines[p.j].line_vector()
-    ratio = sum(x.norm_sq() for x in vi) / sum(x.norm_sq() for x in vj)
-    rn, rd = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
-    if rn * rn != ratio.numerator or rd * rd != ratio.denominator:
-        raise OrthoapartError(
-            "rotated_frame needs the two line norms to differ by a rational square"
-        )
-    # |vi|^2 / |vj|^2 = (rn/rd)^2, so rd*vi and rn*vj have equal norm
-    ui = tuple(x * rd for x in vi)
-    uj = tuple(x * rn for x in vj)
-    plus = tuple(a + b for a, b in zip(ui, uj))
-    minus = tuple(a - b for a, b in zip(ui, uj))
-    lines = list(ap.frame.lines)
-    n = ap.cls.n
-    lines[p.i] = projection_of([plus], ambient_dim=n)
-    lines[p.j] = projection_of([minus], ambient_dim=n)
-    return Frame(n, tuple(lines))
-
-
-def membership_labeling(ap: Apartment, op: SpectralOperator) -> Labeling:
-    """Express a spectral operator as a labeling of the apartment, or raise
-    NotAMember if some frame line is not wholly inside an eigenspace or the
-    kernel."""
-    if op.cls != ap.cls:
-        raise NotAMember("operator class differs from apartment class")
-    assignment: List[Slot] = []
-    kernel_ok = None
-    for i, line in enumerate(ap.frame.lines):
-        slot: Slot = None
-        for t, (_, x) in enumerate(op.eigenspaces):
-            if x.contains(line):
-                slot = t
-                break
-        if slot is None:
-            # the line must then lie in the kernel (orthogonal to the image)
-            if kernel_ok is None:
-                kernel_ok = image_of(op).perp()
-            if not kernel_ok.contains(line):
-                raise NotAMember(f"frame line {i} is split across eigenspaces")
-        assignment.append(slot)
-    lab = Labeling(tuple(assignment))
-    lab.validate(ap.cls)
-    return lab

@@ -229,6 +229,8 @@ def cmd_counterexample(name: str, cls: ClassDescriptor) -> dict:
 def cmd_refine(family_path: str, n: Optional[int] = None) -> dict:
     """Refine a family file (JSON list of spanning sets) into a frame.  The work
     bound is checked on the file's shape first: n is --n, else the longest vector."""
+    if n is not None and n < 0:
+        raise OrthoapartError(f"the ambient dimension --n must be nonnegative, got {n}")
     data = _read_json(family_path)
     if isinstance(data, list):  # any other shape is refused by family_from_json
         vectors = (v for s in data if isinstance(s, list) for v in s if isinstance(v, list))

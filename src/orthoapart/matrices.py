@@ -122,18 +122,6 @@ class Matrix:
         return cls._make(1, [[int(i == j) for j in range(n)] for i in range(n)], None, n, n)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        cols = [vector(c) for c in columns]
-        if not cols:
-            if rows is None:
-                raise DimensionMismatch("row count needed for an empty column list")
-            return cls.zeros(rows, 0)
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise DimensionMismatch("columns of unequal length")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
         d = vector(entries)
         n = len(d)
@@ -145,15 +133,6 @@ class Matrix:
         i, j = ij
         im = 0 if self._im is None else self._im[i][j]
         return _scalar(Fraction(self._re[i][j], self._den), Fraction(im, self._den))
-
-    def row(self, i: int) -> Vector:
-        return tuple(self[i, j] for j in range(self.cols))
-
-    def column(self, j: int) -> Vector:
-        return tuple(self[i, j] for i in range(self.rows))
-
-    def columns(self) -> List[Vector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def integer_columns(self) -> Iterator[tuple]:
         """The columns' numerators over the one denominator."""
@@ -212,7 +191,7 @@ class Matrix:
         return Matrix._make(self._den * other._den, re, im, self.rows, other.cols)
 
     def product_is_hermitian(self, other: "Matrix") -> bool:
-        """self @ other == (self @ other).adjoint(), read on the product's integers."""
+        """self @ other equals its conjugate transpose, read on the product's integers."""
         return _hermitian(*self._product(other))
 
     def frobenius(self, other: "Matrix") -> int:
@@ -225,27 +204,12 @@ class Matrix:
             t += sum(map(mul, flat(self._im), flat(other._im)))
         return t
 
-    def transpose(self) -> "Matrix":
-        flip = lambda x: None if x is None else list(zip(*x)) or [()] * self.cols  # noqa: E731
-        return Matrix._make(self._den, flip(self._re), flip(self._im), self.cols, self.rows)
-
-    def conj(self) -> "Matrix":
-        return Matrix._make(self._den, self._re, _comb(-1, self._im), self.rows, self.cols)
-
-    def adjoint(self) -> "Matrix":
-        """Conjugate transpose; an involution."""
-        return self.transpose().conj()
-
     def integer_trace(self) -> Tuple[int, int]:
         """The numerators (re, im) of the trace over `den`."""
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
         re = sum(self._re[i][i] for i in range(self.rows))
         return re, 0 if self._im is None else sum(self._im[i][i] for i in range(self.rows))
-
-    def trace(self) -> GaussianRational:
-        re, im = self.integer_trace()
-        return _scalar(Fraction(re, self._den), Fraction(im, self._den))
 
     # -- predicates --------------------------------------------------------
 
@@ -258,7 +222,7 @@ class Matrix:
         return hash((self._den, self._re, self._im))
 
     def is_hermitian(self) -> bool:
-        """self == self.adjoint(), read on the integers."""
+        """self equals its conjugate transpose, read on the integers."""
         return _hermitian(self._re, self._im)
 
     def is_zero(self) -> bool:
@@ -299,11 +263,8 @@ class Matrix:
 
     # -- misc --------------------------------------------------------------
 
-    def entries(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
     def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.entries())
+        body = "; ".join(" ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows))
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
     def _same_shape(self, other: "Matrix"):

@@ -48,14 +48,6 @@ class ClassDescriptor(Value):
     def rank(self) -> int:
         return sum(self.dims)
 
-    @property
-    def distinct_dims(self) -> bool:
-        """True iff all eigenspace dimensions are pairwise distinct.
-
-        Informational only; no operation refuses to run when this is false.
-        """
-        return len(set(self.dims)) == len(self.dims)
-
 
 class SpectralOperator(Value):
     __slots__ = ("cls", "eigenspaces")
@@ -123,14 +115,3 @@ def orthogonal(a: SpectralOperator, b: SpectralOperator) -> bool:
     if a.n != b.n:
         raise DimensionMismatch("operators in different ambient dimensions")
     return image_of(a).is_orthogonal_to(image_of(b))
-
-
-def hs_inner(a: SpectralOperator, b: SpectralOperator) -> Fraction:
-    """Trace pairing tr(AB); real, symmetric, preserved by unitary and
-    (for self-adjoint operators) anti-unitary conjugation.  For Hermitian A
-    and B it is the integer Frobenius sum of their numerators, with no
-    product built."""
-    if a.n != b.n:
-        raise DimensionMismatch("operators in different ambient dimensions")
-    ma, mb = materialize(a), materialize(b)
-    return Fraction(ma.frobenius(mb), ma.den * mb.den)

@@ -70,9 +70,9 @@ class GaussianRational(Value):
 
     def __truediv__(self, other):
         other = as_scalar(other)
-        if other.is_zero:
+        n = other.re * other.re + other.im * other.im  # |other|^2, rational
+        if not n:
             raise ZeroDivisionError("division by zero scalar")
-        n = other.norm_sq()
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
@@ -81,25 +81,14 @@ class GaussianRational(Value):
     def __rtruediv__(self, other):
         return as_scalar(other) / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2, always a nonnegative rational (no square roots needed)."""
-        return self.re * self.re + self.im * self.im
-
     # -- predicates & comparisons -----------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
 
     @property
     def is_real(self) -> bool:
         return not self.im
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):

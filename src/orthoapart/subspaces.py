@@ -15,7 +15,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, Vector, gram_schmidt, projection_matrix, vector
+from .matrices import Matrix, gram_schmidt, projection_matrix, vector
 
 
 class Subspace:
@@ -52,12 +52,6 @@ class Subspace:
             raise ValueError("projection trace is not an integer; corrupt subspace")
         return re // self.proj.den
 
-    def line_vector(self) -> Vector:
-        """A spanning vector of a line: the first nonzero column of its projection."""
-        if self.dim != 1:
-            raise ValueError("line_vector requires a 1-dimensional subspace")
-        return self.proj.column(self.proj.lead_column()[0])
-
     # -- predicates --------------------------------------------------------
 
     def __eq__(self, other):
@@ -67,9 +61,6 @@ class Subspace:
 
     def __hash__(self):
         return hash(self.proj)
-
-    def is_zero(self) -> bool:
-        return self.proj.is_zero()
 
     def contains(self, other: "Subspace") -> bool:
         """other <= self, as an exact matrix identity P_self P_other = P_other."""

@@ -14,25 +14,19 @@ from orthoapart import (
     PairIndex,
     c_eval,
     commutes,
-    compute_S,
     decide_orthogonality_by_count,
     enumerate_members,
-    image_of,
-    intersect,
     is_orthogonally_inexact,
     lemma3_bound,
     member_count,
-    membership_labeling,
     n_count,
-    orthogonal,
     projection_of,
-    rotated_frame,
     standard_apartment,
-    type_one_subset,
     verify_maximal_inexact,
 )
 from orthoapart.apartments import (
     MAX_TRANSFER_STATES,
+    _line_groups,
     _member_assignments,
     first_index,
     pair_cells,
@@ -41,7 +35,6 @@ from orthoapart.apartments import (
 )
 from orthoapart.compatibility import Frame
 from orthoapart.errors import NotAMember, OrthoapartError, ThresholdViolation
-from orthoapart.subspaces import Subspace
 
 from util import (
     compositions,
@@ -60,8 +53,8 @@ from util import (
     oracle_n_count,
     oracle_pair_cells,
     oracle_support_indices,
+    oracle_type_one_subset,
     oracle_verify_maximal_inexact,
-    random_frame,
     random_labeling,
 )
 
@@ -98,7 +91,7 @@ def test_member_walk_is_iterative_and_lazy():
     members = [a.assignment for a in enumerate_members(cls)]
     assert len(members) == member_count(cls) == 1000
     assert [a.index(0) for a in members] == list(range(1000))
-    assert len(type_one_subset(PairIndex(0, 999), cls)) == 998
+    assert len(oracle_type_one_subset(PairIndex(0, 999), cls)) == 998
     huge = cls_of(10 ** 6, (1, 1, 1))
     assert next(_member_assignments(huge))[:4] == (0, 1, 2, None)
 
@@ -251,21 +244,6 @@ def test_remark2_strict_inequality():
     assert n_count(a, b, cls) > lemma3_bound(3, m, 12)
 
 
-def test_compute_S():
-    ap = standard_apartment(cls_of(8, (1, 1)))
-    members = list(enumerate_members(ap.cls))
-    # empty set: the full space
-    assert compute_S(0, [], ap) == Subspace.full(8)
-    # the whole apartment pins every line down
-    for i in range(8):
-        assert compute_S(i, members, ap).dim == 1
-    # a type-(1) set leaves the plane of the pair undetermined
-    t1 = type_one_subset(PairIndex(0, 1), ap.cls)
-    s0 = compute_S(0, t1, ap)
-    assert s0.dim >= 2
-    assert s0.contains(Subspace.coordinate(8, [1]))
-
-
 def test_is_orthogonally_inexact():
     cls = cls_of(8, (1, 1))
     members = list(enumerate_members(cls))
@@ -273,7 +251,7 @@ def test_is_orthogonally_inexact():
     assert not inexact and witness is None
     inexact, witness = is_orthogonally_inexact([], cls)
     assert inexact and witness is not None
-    t1 = type_one_subset(PairIndex(2, 5), cls)
+    t1 = oracle_type_one_subset(PairIndex(2, 5), cls)
     inexact, witness = is_orthogonally_inexact(t1, cls)
     assert inexact
     assert {witness.i, witness.j} == {2, 5}
@@ -289,27 +267,33 @@ def small_classes(n_max):
 
 def test_line_groups_match_support_intersection_oracle():
     # every class with n <= 5, on the empty set, every subset of one or two
-    # members and every prefix of the member list: the decision and witness
-    # against the support intersection they replace; compute_S for every i
-    # against the span of the oracle's support, on every such subset for
-    # n <= 4 and on the empty set and the prefixes for n = 5 (the rest of
-    # n = 5 is about 150,000 spans, some 10 s)
-    checked, spans = 0, {}
+    # members and every prefix of the member list: the decision and witness,
+    # and the group of every line i, against the support intersection they
+    # replace.  The groups partition the lines, ascending, in order of their
+    # least line
+    checked = 0
     for cls in small_classes(5):
-        ap = standard_apartment(cls)
         members = list(enumerate_members(cls))
         prefixes = [members[:j] for j in range(1, len(members) + 1)]
         small = [[a] for a in members] + [list(pair) for pair in combinations(members, 2)]
         for subset in [[]] + prefixes + small:
             assert is_orthogonally_inexact(subset, cls) == oracle_is_orthogonally_inexact(subset, cls)
+            groups = _line_groups(subset, cls.n)
+            assert sorted(i for g in groups for i in g) == list(range(cls.n))
+            assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+            for g in groups:
+                assert g == sorted(g)
+                for i in g:
+                    assert set(g) == oracle_support_indices(i, subset, cls.n)
             checked += 1
-        for subset in [[]] + prefixes + (small if cls.n <= 4 else []):
-            for i in range(cls.n):
-                support = frozenset(oracle_support_indices(i, subset, cls.n))
-                if (cls.n, support) not in spans:
-                    spans[cls.n, support] = Subspace.coordinate(cls.n, support)
-                assert compute_S(i, subset, ap) == spans[cls.n, support]
     assert checked == 36035
+    # the empty set leaves every line in one group, the whole apartment
+    # pins every line down, and a type-(1) set T_ij leaves i and j together
+    cls = cls_of(8, (1, 1))
+    members = list(enumerate_members(cls))
+    assert _line_groups([], 8) == [list(range(8))]
+    assert _line_groups(members, 8) == [[i] for i in range(8)]
+    assert [0, 1] in _line_groups(oracle_type_one_subset(PairIndex(0, 1), cls), 8)
 
 
 def test_verify_maximal_inexact_matches_exhaustive_oracle():
@@ -462,8 +446,23 @@ def test_label_functions_build_no_frame(monkeypatch):
     assert not decide_orthogonality_by_count(a, c, big)
     small = cls_of(6, (2,), (Fraction(1),))
     assert len(list(enumerate_members(small))) == member_count(small) == 15
-    assert len(type_one_subset(PairIndex(0, 1), small)) == 7
+    assert len(oracle_type_one_subset(PairIndex(0, 1), small)) == 7
     assert verify_maximal_inexact(PairIndex(0, 1), small)
+
+
+def rotated_standard_frame(n, p):
+    """The standard frame with lines i and j of p replaced by the lines
+    through e_i + e_j and e_i - e_j."""
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+    vectors = list(e)
+    vectors[p.i] = [a + b for a, b in zip(e[p.i], e[p.j])]
+    vectors[p.j] = [a - b for a, b in zip(e[p.i], e[p.j])]
+    return Frame(n, tuple(projection_of([v]) for v in vectors))
+
+
+def labeling_in(ap, op):
+    """The member of the apartment that is op, or None."""
+    return next((a for a in enumerate_members(ap.cls) if a.to_operator(ap) == op), None)
 
 
 def test_rotated_frame_cross_validation():
@@ -471,27 +470,11 @@ def test_rotated_frame_cross_validation():
     cls = cls_of(4, (1,), (Fraction(1),))
     ap = standard_apartment(cls)
     p = PairIndex(0, 1)
-    rot = Apartment(rotated_frame(ap, p), cls)
-    original = {m.assignment for m in enumerate_members(cls)}
-    shared = set()
-    for m in enumerate_members(cls):
-        op = m.to_operator(rot)
-        try:
-            lab = membership_labeling(ap, op)
-        except NotAMember:
-            continue
-        shared.add(lab.assignment)
-    expected = {m.assignment for m in type_one_subset(p, cls)}
+    rot = Apartment(rotated_standard_frame(4, p), cls)
+    shared = {lab.assignment for lab in (labeling_in(ap, m.to_operator(rot))
+                                         for m in enumerate_members(cls)) if lab}
+    expected = {m.assignment for m in oracle_type_one_subset(p, cls)}
     assert shared == expected
-
-
-def test_rotated_frame_refuses_norms_not_a_rational_square_apart():
-    # the lines' lead columns are (1/2, 1/2, 0) and (0, 0, 1): norm ratio 1/2
-    lines = tuple(projection_of([v]) for v in ([1, 1, 0], [1, -1, 0], [0, 0, 1]))
-    ap = Apartment(Frame(3, lines), cls_of(3, (1,), (Fraction(1),)))
-    with pytest.raises(OrthoapartError, match="rational square"):
-        rotated_frame(ap, PairIndex(0, 2))
-    assert rotated_frame(ap, PairIndex(0, 1))
 
 
 def test_verify_maximal_inexact_small():
@@ -534,9 +517,9 @@ def test_apartment_invariance_of_n_count():
     frame2 = refine_to_frame(eigenspaces)
     ap2 = Apartment(frame2, cls)
     counts = {reference}
-    counts.add(n_count(membership_labeling(ap2, op_a), membership_labeling(ap2, op_b), cls))
+    counts.add(n_count(labeling_in(ap2, op_a), labeling_in(ap2, op_b), cls))
 
     # apartment rotated inside the common kernel plane
-    rot = Apartment(rotated_frame(standard, PairIndex(6, 7)), cls)
-    counts.add(n_count(membership_labeling(rot, op_a), membership_labeling(rot, op_b), cls))
+    rot = Apartment(rotated_standard_frame(8, PairIndex(6, 7)), cls)
+    counts.add(n_count(labeling_in(rot, op_a), labeling_in(rot, op_b), cls))
     assert counts == {reference}

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,9 +20,7 @@ from orthoapart import apartments, cli, serialize
 from orthoapart.apartments import (
     MAX_TRANSFER_STATES,
     Labeling,
-    PairIndex,
     pair_cells,
-    rotated_frame,
     slot_transfer,
     standard_apartment,
 )
@@ -363,6 +362,18 @@ def test_cmd_refine_empty_family_needs_n(tmp_path):
     out = tmp_path / "frame.json"
     assert main(["refine", str(path), "--n", "3", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["frame"]["lines"]) == 3
+
+
+@pytest.mark.parametrize("family", [[], [[["1", "0"]]]])
+def test_refine_refuses_a_negative_n(family, tmp_path, capsys):
+    # refused before any frame is built, empty family or not
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    for argv in (["--n", "-1"], ["--n=-1"]):
+        assert main(["refine", str(path)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the ambient dimension --n must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("family, argv, n, f", [
@@ -791,7 +802,7 @@ def test_lemma4_disagreements_below_threshold_listed_like_the_oracle():
 def test_label_commands_frame_option(tmp_path, capsys):
     cls = cls_of(8, (1, 1))
     args = ["--n", "8", "--alphas", "1,2", "--dims", "1,1"]
-    rotated = rotated_frame(standard_apartment(cls), PairIndex(1, 4))
+    rotated = util.random_frame(8, random.Random(4))
     good = tmp_path / "rotated.json"
     good.write_text(json.dumps(serialize.frame_to_json(rotated)))
     small = tmp_path / "small.json"

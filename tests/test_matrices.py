@@ -9,7 +9,7 @@ from orthoapart.matrices import Matrix, vector
 from orthoapart.scalars import GaussianRational, I, as_scalar
 from orthoapart.subspaces import projection_of
 
-from util import SMALL, OracleMatrix, apply, inner, oracle_projection_of
+from util import SMALL, OracleMatrix, apply, inner, oracle_projection_of, product_trace
 
 
 def rand_matrix(rows, cols, rng, complex_entries=True):
@@ -21,10 +21,13 @@ def rand_matrix(rows, cols, rng, complex_entries=True):
     return Matrix([[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+# the adjoint is the oracle's: the package reads self-adjointness off the
+# integers (is_hermitian, product_is_hermitian) and builds no adjoint
+
 def test_adjoint_is_involution():
     rng = random.Random(7)
     for _ in range(20):
-        m = rand_matrix(rng.randint(1, 5), rng.randint(1, 5), rng)
+        m = OracleMatrix.of(rand_matrix(rng.randint(1, 5), rng.randint(1, 5), rng))
         assert m.adjoint().adjoint() == m
 
 
@@ -32,7 +35,8 @@ def test_adjoint_reverses_products():
     rng = random.Random(8)
     a = rand_matrix(3, 4, rng)
     b = rand_matrix(4, 2, rng)
-    assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()
+    oa, ob = OracleMatrix.of(a), OracleMatrix.of(b)
+    assert OracleMatrix.of(a @ b).adjoint() == ob.adjoint() @ oa.adjoint()
 
 
 # rank, kernel and column space are the oracle's: the package has no
@@ -43,7 +47,7 @@ def test_rank_and_kernel():
     m, o = Matrix(rows), OracleMatrix(rows)
     assert o.rank() == len(m.rref()[1]) == 2
     for v in o.kernel_basis():
-        assert all(x.is_zero for x in apply(m, v))
+        assert not any(apply(m, v))
     assert len(o.kernel_basis()) == 3 - o.rank()
 
 
@@ -55,7 +59,7 @@ def test_column_space_basis_spans():
     o = OracleMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     basis = o.column_space_basis()
     assert len(basis) == 2
-    stacked = Matrix.from_columns(basis + [o.column(2)], rows=3)
+    stacked = Matrix(list(zip(*basis, o.column(2))))
     assert len(stacked.rref()[1]) == 2  # third column dependent on the basis
 
 
@@ -78,13 +82,19 @@ def test_rank_with_complex_entries():
     assert len(singular.rref()[1]) == 1
 
 
+def test_repr_reads_entries():
+    # a literal value: no driver of the package reaches Matrix.__repr__
+    assert repr(Matrix([[Fraction(1, 2), I], ["-1/3+2i", 0]])) == "Matrix[2x2](1/2 1i; -1/3+2i 0)"
+    assert repr(Matrix.zeros(2, 0)) == "Matrix[2x0](; )"
+
+
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2]]) @ Matrix([[1, 2]])
     with pytest.raises(DimensionMismatch):
         Matrix([[1]]) + Matrix([[1, 2]])
     with pytest.raises(DimensionMismatch):
-        Matrix([[1, 2]]).trace()
+        Matrix([[1, 2]]).integer_trace()
 
 
 def test_hermitian_inner_product():
@@ -92,28 +102,30 @@ def test_hermitian_inner_product():
     v = vector([1, I * -1])
     assert inner(u, u) == 2
     assert inner(u, v) == GaussianRational(Fraction(0), Fraction(-2))
-    assert inner(v, u) == inner(u, v).conjugate()
+    uv = inner(u, v)
+    assert inner(v, u) == GaussianRational(uv.re, -uv.im)
 
 
 def test_trace_linearity():
     rng = random.Random(10)
     a = rand_matrix(4, 4, rng)
     b = rand_matrix(4, 4, rng)
-    assert (a + b).trace() == a.trace() + b.trace()
-    assert (a @ b).trace() == (b @ a).trace()
+    trace = lambda m: OracleMatrix.of(m).trace()  # noqa: E731
+    assert trace(a + b) == trace(a) + trace(b)
+    assert trace(a @ b) == product_trace(a, b) == product_trace(b, a)
 
 
 # ---------------------------------------------------------------------------
 # the integer kernel against the Fraction-entry oracle
 
 def same(m: Matrix, o: OracleMatrix) -> bool:
-    return m.shape == o.shape and m.entries() == o.entries()
+    return m.shape == o.shape and OracleMatrix.of(m) == o
 
 
 def assert_kernel_matches_oracle(rows, other_rows):
     m, o = Matrix(rows), OracleMatrix(rows)
     b, ob = Matrix(other_rows), OracleMatrix(other_rows)
-    assert same(m, o) and same(m.adjoint(), o.adjoint()) and same(-m, -o)
+    assert same(m, o) and same(-m, -o)
     for c in (Fraction(-3, 2), 2 * I - 1):
         assert same(m.scale(c), o.scale(c))
     if m.rows == b.rows and m.cols == b.cols:
@@ -121,7 +133,8 @@ def assert_kernel_matches_oracle(rows, other_rows):
     if m.cols == b.rows:
         assert same(m @ b, o @ ob)
     if m.rows == m.cols:
-        assert m.trace() == o.trace()
+        re, im = m.integer_trace()
+        assert GaussianRational(Fraction(re, m.den), Fraction(im, m.den)) == o.trace()
         try:
             expected = o.inverse()
         except SingularMatrix:
@@ -132,7 +145,7 @@ def assert_kernel_matches_oracle(rows, other_rows):
     (r, pivots), (orr, opivots) = m.rref(), o.rref()
     assert pivots == opivots and same(r, orr)
     n = m.rows
-    assert same(projection_of(m.columns(), ambient_dim=n).proj,
+    assert same(projection_of(o.columns(), ambient_dim=n).proj,
                 oracle_projection_of(o.columns(), ambient_dim=n))
 
 
@@ -147,9 +160,9 @@ def random_rows(rows, cols, rank, rng, complex_entries):
     """A rows x cols matrix of rank at most `rank`, as a product of random
     rows x rank and rank x cols factors."""
     if not rank:
-        return Matrix.zeros(rows, cols).entries()
+        return OracleMatrix.zeros(rows, cols).entries()
     left, right = rand_matrix(rows, rank, rng, complex_entries), rand_matrix(rank, cols, rng, complex_entries)
-    return (left @ right).entries()
+    return OracleMatrix.of(left @ right).entries()
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -165,7 +178,7 @@ def test_kernel_matches_oracle_on_random_matrices(complex_entries):
             b = random_rows(rows, cols, rng.randint(0, min(rows, cols)), rng, complex_entries)
         assert_kernel_matches_oracle(a, b)
         if rows == cols:
-            full = rand_matrix(rows, rows, rng, complex_entries).entries()
+            full = OracleMatrix.of(rand_matrix(rows, rows, rng, complex_entries)).entries()
             assert_kernel_matches_oracle(full, a)
 
 

@@ -13,7 +13,6 @@ from orthoapart import (
     example_comm_swap,
     example_orth_swap,
     gram_obstruction,
-    hs_inner,
     image_of,
     intersect,
     materialize,
@@ -26,6 +25,7 @@ from orthoapart.errors import NoRoom, NotAnEigenline, OrthoapartError, Projectio
 from orthoapart.subspaces import Subspace
 
 from util import (
+    OracleMatrix,
     as_permutation,
     compositions,
     conjugate_operator,
@@ -35,6 +35,7 @@ from util import (
     oracle_check_preservation,
     oracle_gram_obstruction,
     permutation_inducer,
+    product_trace,
     random_frame,
     random_labeling,
     signed_permutation_matrix,
@@ -74,7 +75,8 @@ def test_orth_swap_trace_values():
         if op.eigenspaces[0][1] == Subspace.coordinate(4, [0])
         and op.eigenspaces[1][1] == Subspace.coordinate(4, [2])
     )
-    values = {hs_inner(a, c), hs_inner(b, c)}
+    ma, mb, mc = (materialize(op) for op in (a, b, c))
+    values = {product_trace(ma, mc).re, product_trace(mb, mc).re}
     assert values == {Fraction(1), Fraction(2)}
 
 
@@ -105,7 +107,7 @@ def test_comm_swap_witness_values():
     c_idx = mats.index(Matrix.diagonal([1, 0, 2, 0]))
     swapped = [s for s in range(len(p.members)) if p.mapping[s] != s]
     a_idx, b_idx = swapped
-    tr = lambda i, j: (mats[i] @ mats[j]).trace().re
+    tr = lambda i, j: product_trace(mats[i], mats[j]).re
     assert {tr(a_idx, c_idx), tr(b_idx, c_idx)} == {Fraction(1), Fraction(2)}
 
 
@@ -177,7 +179,7 @@ def test_permutation_inducer_positive_and_negative():
     aligned = member_permutation(cls, members, mapping)
     found = permutation_inducer(aligned)
     assert found is not None
-    uh = found.adjoint()
+    uh = Matrix(OracleMatrix.of(found).adjoint().entries())
     for s in range(len(domain)):
         assert found @ mats[s] @ uh == mats[mapping[s]]
 

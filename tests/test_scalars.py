@@ -22,10 +22,14 @@ def test_basic_arithmetic():
     assert a - a == 0
 
 
+def conj(z):
+    return GaussianRational(z.re, -z.im)
+
+
 def test_conjugation_and_norm():
     z = GaussianRational(Fraction(3, 4), Fraction(-2, 5))
-    assert z.conjugate().conjugate() == z
-    assert z * z.conjugate() == GaussianRational(z.norm_sq())
+    assert z * conj(z) == GaussianRational(z.re * z.re + z.im * z.im) == Fraction(289, 400)
+    assert 1 / z == conj(z) / Fraction(289, 400)
 
 
 def test_division_by_zero():
@@ -101,13 +105,28 @@ def test_text_round_trip(z):
 def test_field_laws(a, b):
     assert a + b == b + a
     assert a * b == b * a
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    if not b.is_zero:
+    assert conj(a * b) == conj(a) * conj(b)
+    if b:
         assert (a / b) * b == a
 
 
 @given(scalars)
 def test_inversion_closed(z):
-    if not z.is_zero:
+    if z:
         inv = as_scalar(1) / z
         assert z * inv == 1
+
+
+def test_truth_and_division_values():
+    # literal values: no driver of the package reaches __bool__ or division
+    assert [bool(x) for x in (GaussianRational(), GaussianRational(0, Fraction(1, 3)),
+                              GaussianRational(Fraction(-2)))] == [False, True, True]
+    half_third = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    assert repr(GaussianRational(Fraction(3, 4)) / GaussianRational(Fraction(-2, 5))) == \
+        "GaussianRational(Fraction(-15, 8), Fraction(0, 1))"
+    assert repr(half_third / GaussianRational(-2, 1)) == \
+        "GaussianRational(Fraction(-2, 15), Fraction(-7, 30))"
+    assert repr(3 / GaussianRational(0, 2)) == "GaussianRational(Fraction(0, 1), Fraction(-3, 2))"
+    for zero in (GaussianRational(), 0):
+        with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+            half_third / zero

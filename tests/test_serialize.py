@@ -129,7 +129,8 @@ def _golden_frames():
 
 def test_frame_lines_format_like_entry_access():
     """Real and complex rotated frames, and every frame the refine golden
-    produces: the numerator text equals str() of each line_vector() entry."""
+    produces: the numerator text equals str() of each entry of the line's
+    first nonzero projection column."""
     rng = random.Random(19)
     frames = [random_frame(n, rng) for n in range(1, 9) for _ in range(4)]
     frames += [random_complex_frame(n, rng) for n in range(1, 9) for _ in range(4)]

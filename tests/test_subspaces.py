@@ -15,7 +15,14 @@ from orthoapart.subspaces import (
     span_sum,
 )
 
-from util import SMALL, contains_vector, oracle_intersect, oracle_projection_of, random_unitary
+from util import (
+    SMALL,
+    OracleMatrix,
+    contains_vector,
+    oracle_intersect,
+    oracle_projection_of,
+    random_unitary,
+)
 
 
 def e(n, i):
@@ -24,8 +31,8 @@ def e(n, i):
 
 def hand_projection(columns, n):
     """Independent evaluation of V (V*V)^-1 V* used to freeze expected values."""
-    v = Matrix.from_columns(columns, rows=n)
-    return v @ (v.adjoint() @ v).inverse() @ v.adjoint()
+    v = OracleMatrix.from_columns(columns, rows=n)
+    return Matrix((v @ (v.adjoint() @ v).inverse() @ v.adjoint()).entries())
 
 
 def test_projection_coordinate_axis():
@@ -63,7 +70,8 @@ def test_projection_invariants():
         ]
         p = projection_of(vecs, ambient_dim=n)
         assert p.proj @ p.proj == p.proj
-        assert p.proj == p.proj.adjoint()
+        o = OracleMatrix.of(p.proj)
+        assert o == o.adjoint()
         for v in vecs:
             assert contains_vector(p, v)
 
@@ -81,7 +89,7 @@ def test_projection_of_matches_oracle_on_every_small_spanning_set():
              for _ in range(300)]
     for n, spanning in [(2, s) for s in sets] + [(3, s) for s in sets3]:
         expected = oracle_projection_of(spanning, ambient_dim=n)
-        assert projection_of(spanning, ambient_dim=n).proj.entries() == expected.entries(), spanning
+        assert OracleMatrix.of(projection_of(spanning, ambient_dim=n).proj) == expected, spanning
 
 
 def test_projection_basis_independent():
@@ -128,7 +136,7 @@ def test_perp_dimension():
         n = rng.randint(1, 5)
         dim = rng.randint(0, n)
         u = random_unitary(n, rng)
-        x = projection_of([u.column(i) for i in range(dim)], ambient_dim=n)
+        x = projection_of([[u[r, i] for r in range(n)] for i in range(dim)], ambient_dim=n)
         assert x.dim + x.perp().dim == n
         assert x.is_orthogonal_to(x.perp())
 
@@ -159,7 +167,7 @@ def test_ambient_mismatch():
 
 def test_orthogonalize_exact():
     vecs = [[1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
-    out = list(gram_schmidt(Matrix.from_columns(vecs).integer_columns()))
+    out = list(gram_schmidt(Matrix(list(zip(*vecs))).integer_columns()))
     assert len(out) == 3
     for u, v in combinations(out, 2):
         assert column_inner(u, v) == (0, 0)
@@ -171,10 +179,10 @@ def test_orthogonalize_exact():
 
 def assert_lattice_matches_oracles(x, y):
     n = x.ambient_dim
-    assert intersect(x, y).proj.entries() == oracle_intersect(x, y).entries()
-    expected = oracle_projection_of(x.proj.columns() + y.proj.columns(), ambient_dim=n)
-    assert span_sum(x, y).proj.entries() == expected.entries()
-    assert complement_within(x, y).proj.entries() == oracle_intersect(x.perp(), y).entries()
+    assert OracleMatrix.of(intersect(x, y).proj) == oracle_intersect(x, y)
+    columns = OracleMatrix.of(x.proj).columns() + OracleMatrix.of(y.proj).columns()
+    assert OracleMatrix.of(span_sum(x, y).proj) == oracle_projection_of(columns, ambient_dim=n)
+    assert OracleMatrix.of(complement_within(x, y).proj) == oracle_intersect(x.perp(), y)
 
 
 def grid_spaces(n, spanning):

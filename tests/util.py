@@ -86,7 +86,7 @@ def random_unitary(n: int, rng: random.Random, rotations: int = 3) -> Matrix:
 def random_frame(n: int, rng: random.Random, rotations: int = 3) -> Frame:
     u = random_unitary(n, rng, rotations)
     lines = tuple(
-        projection_of([u.column(i)], ambient_dim=n) for i in range(n)
+        projection_of([[u[r, i] for r in range(n)]], ambient_dim=n) for i in range(n)
     )
     return Frame(n, lines)
 
@@ -101,7 +101,7 @@ def random_complex_frame(n: int, rng: random.Random, rotations: int = 3) -> Fram
         rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, I * s, I * s, c
         u = Matrix(rows) @ u
-    return Frame(n, tuple(projection_of([u.column(i)], ambient_dim=n) for i in range(n)))
+    return Frame(n, tuple(projection_of([[u[r, i] for r in range(n)]], ambient_dim=n) for i in range(n)))
 
 
 def compositions(k: int):
@@ -181,7 +181,7 @@ def lattice_refine(family: Sequence[Subspace]) -> Frame:
     n = family[0].ambient_dim
     members: List[Subspace] = []
     for x in family:
-        if not x.is_zero() and x not in members:
+        if x.dim and x not in members:
             members.append(x)
 
     blocks: List[Subspace] = [Subspace.full(n)]
@@ -287,7 +287,7 @@ def trace_pairing(a: Labeling, b: Labeling, cls: ClassDescriptor) -> Fraction:
 def conjugate_operator(op: SpectralOperator, u: Matrix) -> SpectralOperator:
     """U A U* in spectral form: each eigenspace projection becomes
     U P U*.  u must be unitary for the result to stay in the class."""
-    uh = u.adjoint()
+    uh = Matrix(OracleMatrix.of(u).adjoint().entries())
     eig = tuple((a, Subspace(u @ x.proj @ uh)) for a, x in op.eigenspaces)
     return SpectralOperator(op.cls, eig)
 
@@ -295,12 +295,10 @@ def conjugate_operator(op: SpectralOperator, u: Matrix) -> SpectralOperator:
 def signed_permutation_matrix(n: int, perm: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
     """The unitary sending e_i to signs[i] * e_{perm[i]}."""
     signs = signs or [1] * n
-    cols = []
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        col = [0] * n
-        col[perm[i]] = signs[i]
-        cols.append(col)
-    return Matrix.from_columns(cols)
+        rows[perm[i]][i] = signs[i]
+    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +381,7 @@ def oracle_gram_obstruction(t: MemberPermutation) -> Optional[GramWitness]:
     mats = [materialize(op) for op in transformation_operators(t)]
 
     def tr(i, j):
-        return (mats[i] @ mats[j]).trace().re
+        return product_trace(mats[i], mats[j]).re
 
     for s in range(len(mats)):
         for u in range(s + 1, len(mats)):
@@ -408,7 +406,7 @@ def permutation_inducer(t: MemberPermutation) -> Optional[Matrix]:
     mats = [materialize(op) for op in transformation_operators(t)]
     for perm in permutations(range(n)):
         u = signed_permutation_matrix(n, perm)
-        uh = u.adjoint()
+        uh = signed_permutation_matrix(n, [perm.index(i) for i in range(n)])
         if all(u @ mats[s] @ uh == mats[t.mapping[s]] for s in range(len(mats))):
             return u
     return None
@@ -710,19 +708,19 @@ def oracle_member_assignments(cls: ClassDescriptor) -> List[Tuple[Slot, ...]]:
 
 def in_plus_plus(a: Labeling, p: PairIndex) -> bool:
     """Some maximal eigenspace contains both frame lines i and j."""
-    si, sj = a.slot(p.i), a.slot(p.j)
+    si, sj = a.assignment[p.i], a.assignment[p.j]
     return si is not None and si == sj
 
 
 def in_minus_minus(a: Labeling, p: PairIndex) -> bool:
     """The image is orthogonal to the plane spanned by lines i and j."""
-    return a.slot(p.i) is None and a.slot(p.j) is None
+    return a.assignment[p.i] is None and a.assignment[p.j] is None
 
 
 def in_plus_minus(a: Labeling, i: int, j: int) -> bool:
     """Some maximal eigenspace contains line i and does not contain line j."""
-    si = a.slot(i)
-    return si is not None and si != a.slot(j)
+    si = a.assignment[i]
+    return si is not None and si != a.assignment[j]
 
 
 def in_orthocomplementary(a: Labeling, p: PairIndex) -> bool:
@@ -737,7 +735,7 @@ def oracle_support_indices(i: int, members: Sequence[Labeling], n: int) -> set:
     orthocomplement of the image (when it is not)."""
     s = set(range(n))
     for a in members:
-        t = a.slot(i)
+        t = a.assignment[i]
         s &= {j for j, u in enumerate(a.assignment) if u == t}
     return s
 
@@ -796,6 +794,11 @@ class OracleMatrix:
         m.rows = rows
         m.cols = cols
         return m
+
+    @classmethod
+    def of(cls, m: Matrix) -> "OracleMatrix":
+        """A package matrix, read through entry access."""
+        return cls([[m[i, j] for j in range(m.cols)] for i in range(m.rows)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "OracleMatrix":
@@ -881,9 +884,9 @@ class OracleMatrix:
         for r in self._data:
             acc = [ZERO] * other.cols
             for a, orow in zip(r, orows):
-                if a.is_zero:  # projection matrices are often sparse
+                if not a:  # projection matrices are often sparse
                     continue
-                acc = [p if b.is_zero else p + a * b for p, b in zip(acc, orow)]
+                acc = [p if not b else p + a * b for p, b in zip(acc, orow)]
             out.append(acc)
         return OracleMatrix._raw(out, self.rows, other.cols)
 
@@ -898,7 +901,7 @@ class OracleMatrix:
 
     def conj(self) -> "OracleMatrix":
         return OracleMatrix._raw(
-            ([a.conjugate() for a in r] for r in self._data), self.rows, self.cols
+            ([GaussianRational(a.re, -a.im) for a in r] for r in self._data), self.rows, self.cols
         )
 
     def adjoint(self) -> "OracleMatrix":
@@ -921,7 +924,7 @@ class OracleMatrix:
         return hash(self._data)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero for r in self._data for a in r)
+        return not any(a for r in self._data for a in r)
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.adjoint()
@@ -940,14 +943,14 @@ class OracleMatrix:
         for col in range(self.cols):
             if prow >= self.rows:
                 break
-            sel = next((r for r in range(prow, self.rows) if not m[r][col].is_zero), None)
+            sel = next((r for r in range(prow, self.rows) if m[r][col]), None)
             if sel is None:
                 continue
             m[prow], m[sel] = m[sel], m[prow]
             inv = ONE / m[prow][col]
             m[prow] = [inv * a for a in m[prow]]
             for r in range(self.rows):
-                if r != prow and not m[r][col].is_zero:
+                if r != prow and m[r][col]:
                     f = m[r][col]
                     m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
             pivots.append(col)
@@ -1034,26 +1037,34 @@ def oracle_intersect(x: Subspace, y: Subspace) -> OracleMatrix:
     """The projection onto x ^ y as the kernel of the stacked (P_x - I; P_y - I),
     on the Fraction-entry oracle."""
     eye = OracleMatrix.identity(x.ambient_dim)
-    stacked = (OracleMatrix(x.proj.entries()) - eye).vstack(OracleMatrix(y.proj.entries()) - eye)
+    stacked = (OracleMatrix.of(x.proj) - eye).vstack(OracleMatrix.of(y.proj) - eye)
     return oracle_projection_of(stacked.kernel_basis(), ambient_dim=x.ambient_dim)
 
 
 def pivot_basis(x: Subspace) -> List[Vector]:
     """An exact (not normalized) basis of x: the pivot columns of its projection."""
-    return OracleMatrix(x.proj.entries()).column_space_basis()
+    return OracleMatrix.of(x.proj).column_space_basis()
 
 
 def inner(u: Sequence, v: Sequence) -> GaussianRational:
     """Hermitian inner product <u, v> = sum conj(u_i) v_i."""
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} vs {len(v)}")
-    return sum((as_scalar(a).conjugate() * as_scalar(b) for a, b in zip(u, v)), ZERO)
+    return sum((GaussianRational(a.re, -a.im) * b for a, b in zip(vector(u), vector(v))), ZERO)
 
 
 def apply(m: Matrix, v: Sequence) -> Vector:
     """The product m v, as a vector."""
     v = vector(v)  # a length mismatch raises DimensionMismatch in the product
-    return (m @ (Matrix([[x] for x in v]) if v else Matrix.zeros(0, 1))).column(0)
+    p = m @ (Matrix([[x] for x in v]) if v else Matrix.zeros(0, 1))
+    return tuple(p[i, 0] for i in range(p.rows))
+
+
+def product_trace(a: Matrix, b: Matrix) -> GaussianRational:
+    """tr(ab), from the product's integer trace over its denominator."""
+    z = a @ b
+    re, im = z.integer_trace()
+    return GaussianRational(Fraction(re, z.den), Fraction(im, z.den))
 
 
 def contains_vector(x: Subspace, v: Sequence) -> bool:
@@ -1062,21 +1073,21 @@ def contains_vector(x: Subspace, v: Sequence) -> bool:
     return apply(x.proj, v) == v
 
 
-def _primitive_column(m: Matrix) -> Matrix:
+def _primitive_column(m: OracleMatrix) -> OracleMatrix:
     """The positive multiple of a column with coprime Gaussian-integer
-    entries (zero stays zero), read through entry access."""
+    entries (zero stays zero)."""
     parts = [p for x in m.column(0) for p in (x.re, x.im)]
     den = math.lcm(*(p.denominator for p in parts))
     g = math.gcd(*(p.numerator * (den // p.denominator) for p in parts))
     return m.scale(Fraction(den, g)) if g else m
 
 
-def oracle_orthogonal_columns(m: Matrix) -> List[Matrix]:
-    """Gram-Schmidt on Matrix products, as before the integer kernel: against
+def oracle_orthogonal_columns(m: OracleMatrix) -> List[OracleMatrix]:
+    """Gram-Schmidt on matrix products, as before the integer kernel: against
     each earlier output u, v becomes (u*u) v - (u*v) u, made primitive."""
-    out: List[Matrix] = []
-    for j in range(m.cols):
-        v = _primitive_column(Matrix.from_columns([m.column(j)]))
+    out: List[OracleMatrix] = []
+    for column in m.columns():
+        v = _primitive_column(OracleMatrix.from_columns([column]))
         for u in out:
             uh = u.adjoint()
             v = _primitive_column(v @ (uh @ u) - u @ (uh @ v))
@@ -1128,19 +1139,22 @@ def oracle_scalar_str(z: GaussianRational) -> str:
 
 def oracle_line_text(line: Subspace) -> List[str]:
     """A frame line as `frame_to_json` wrote it before reading numerators:
-    each entry of line_vector(), written from its Fraction parts."""
-    return [oracle_scalar_str(x) for x in line.line_vector()]
+    each entry of its first nonzero projection column, written from its
+    Fraction parts."""
+    lead = next(c for c in OracleMatrix.of(line.proj).columns() if any(c))
+    return [oracle_scalar_str(x) for x in lead]
 
 
 def oracle_is_compatible(x: Subspace, y: Subspace) -> bool:
-    """P_X P_Y = (P_X P_Y)* on the normalized product Matrix and its adjoint."""
-    z = x.proj @ y.proj
+    """P_X P_Y = (P_X P_Y)* on the normalized product, read into the
+    Fraction-entry oracle, and its adjoint."""
+    z = OracleMatrix.of(x.proj @ y.proj)
     return z == z.adjoint()
 
 
 def oracle_dim(x: Subspace) -> int:
     """dim as the trace of the projection, read as a GaussianRational."""
-    tr = x.proj.trace()
+    tr = OracleMatrix.of(x.proj).trace()
     if not tr.is_real or tr.re.denominator != 1:
         raise ValueError("projection trace is not an integer; corrupt subspace")
     return int(tr.re)
