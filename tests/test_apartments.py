@@ -287,13 +287,22 @@ def test_line_groups_match_support_intersection_oracle():
                     assert set(g) == oracle_support_indices(i, subset, cls.n)
             checked += 1
     assert checked == 36035
-    # the empty set leaves every line in one group, the whole apartment
-    # pins every line down, and a type-(1) set T_ij leaves i and j together
+
+
+def test_compute_S():
+    # S_i, the lines that the supports of a set cannot tell apart from line i,
+    # is read as the group of i: the empty set leaves every line in one group,
+    # the whole apartment pins every line down, and a type-(1) set T_ij leaves
+    # i and j together
     cls = cls_of(8, (1, 1))
     members = list(enumerate_members(cls))
     assert _line_groups([], 8) == [list(range(8))]
     assert _line_groups(members, 8) == [[i] for i in range(8)]
-    assert [0, 1] in _line_groups(oracle_type_one_subset(PairIndex(0, 1), cls), 8)
+    groups = _line_groups(oracle_type_one_subset(PairIndex(0, 1), cls), 8)
+    group_of_0 = next(g for g in groups if 0 in g)
+    assert len(group_of_0) >= 2
+    assert 1 in group_of_0
+    assert [0, 1] in groups
 
 
 def test_verify_maximal_inexact_matches_exhaustive_oracle():
