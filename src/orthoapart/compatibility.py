@@ -6,29 +6,30 @@ P_X P_Y = P_Y P_X, and then P_X P_Y is the projection onto X cap Y.  Any
 finite pairwise-compatible family refines into a frame (n mutually
 orthogonal lines spanning the space) such that every family member is a
 sum of frame lines: keep a partition of the space into orthogonal blocks,
-split each block Y against each member X into the meet P_X P_Y and the
-rest P_Y - P_X P_Y, and finally split each block into orthogonal lines.
+split each block Y against each member X into X cap Y and X^perp cap Y, and
+finally split each block into orthogonal lines.
 
-For projections tr(P_X P_Y) = |P_X P_Y|_F^2: 0 iff X is orthogonal to Y and
-dim Y iff Y lies in X.  So only a block that splits takes a product, at most
-n - 1 in all.  Each earlier member is a sum of blocks, so X is compatible with
-all of them iff each split's product is self-adjoint; the pairwise scan runs
-only to name the first incompatible pair.
+Refinement runs on orthogonal integer bases, with no n x n matrix: the spans
+of the P_X v and of the v - P_X v, over Y's basis v, are orthogonal and hold
+Y, so their dimensions add up to dim Y exactly when P_X(Y) <= Y, that is when
+X and Y are compatible.  Each earlier member is a sum of blocks, so the
+pairwise scan runs only to name the first incompatible pair.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, Value
-from .matrices import column_inner, gram_schmidt, projection_matrix
-from .subspaces import Subspace
+from .matrices import _addmul, column_inner, gram_schmidt
+from .subspaces import Subspace, column_lines
 
 
-# refine_to_frame on f members in C^n: an O(n^2) trace per member and block, an O(n^3)
-# product per split (each member at most doubles the blocks: under min(n, 2^f) splits)
-# and n frame lines of n^2 entries, so (f + min(n, 2^f)) n^3; n = 120, f = 16 is 2.35e8
+# refine_to_frame on f members in C^n: the u*v of each member and block, under n^3 per
+# member; at most 2 n^3 per split, under min(n, 2^f) of them (each member at most doubles
+# the blocks); the lines and their check, about n^3.  So (f + min(n, 2^f)) n^3 in all
 MAX_REFINE_WORK = 3 * 10**8
 
 
@@ -47,8 +48,8 @@ class Frame(Value):
         for line in self.lines:
             if line.ambient_dim != n or line.dim != 1:
                 raise OrthoapartError("frame members must be lines of the ambient space")
-        # pairwise orthogonality of lines, on the integers of spanning columns
-        cols = [x.proj.lead_column()[1] for x in self.lines]
+        # pairwise orthogonality of lines, on their primitive integer columns
+        cols = [x.basis[0] for x in self.lines]
         for i in range(n):
             for j in range(i + 1, n):
                 if any(column_inner(cols[i], cols[j])):
@@ -70,14 +71,10 @@ projections_commute = is_compatible
 
 
 def split_into_lines(block: Subspace) -> List[Subspace]:
-    """Split a subspace into pairwise orthogonal lines spanning it.
-
-    Uses fraction-free Gram-Schmidt on the columns of the projection, so the
-    lines stay rational and come from its pivot columns, the dependent ones
-    reducing to zero.  A line's projection is u u* / (u* u).
-    """
-    us = gram_schmidt(block.proj.integer_columns())
-    return [Subspace(projection_matrix([u], block.ambient_dim)) for u in islice(us, block.dim)]
+    """Split a subspace into pairwise orthogonal lines spanning it: Gram-Schmidt over
+    the projection's columns in column order, read off its basis by `column_lines`."""
+    n = block.ambient_dim
+    return [Subspace.spanned_by([u], n) for u in column_lines(block.basis, n)]
 
 
 def check_refine_work(n: int, f: int) -> None:
@@ -85,6 +82,28 @@ def check_refine_work(n: int, f: int) -> None:
     if (f + min(n, 2 ** min(f, n))) * n**3 > MAX_REFINE_WORK:
         raise OrthoapartError(f"a family of f={f} members in dimension n={n} needs about (f + "
                               f"min(n, 2^f))*n^3 refine steps, over the limit {MAX_REFINE_WORK}")
+
+
+def _split(us: Sequence[tuple], vs: Sequence[tuple]) -> Optional[Tuple[list, list]]:
+    """Block Y against member X, of orthogonal bases vs and us: None when X is orthogonal
+    to Y or contains it, else bases of the spans of the P_X v and of the v - P_X v.  A v
+    with |P_X v| = 0 or |v| goes to its side as it is, orthogonal to the others' parts."""
+    big = lcm(*(d for *_, d in us))
+    meet, rest, images, rests = [], [], [], []
+    for v in vs:
+        row = [column_inner(u, v) for u in us]
+        norm = sum(big // u[2] * (a * a + b * b) for u, (a, b) in zip(us, row))  # L |P_X v|^2
+        if norm in (0, big * v[2]):
+            (meet if norm else rest).append(v)
+            continue
+        w = [0] * len(v[0]), None
+        for (a, b), u in zip(row, us):  # L P_X v = sum (L/d) (u*v) u
+            w = _addmul(w, big // u[2] * a, big // u[2] * b, u)
+        images.append(w)
+        rests.append(_addmul(([-x for x in w[0]], w[1] and [-x for x in w[1]]), big, 0, v))
+    if not images and not (meet and rest):
+        return None
+    return meet + list(gram_schmidt(images)), rest + list(gram_schmidt(rests))
 
 
 def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
@@ -111,23 +130,24 @@ def refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) 
                 f"family member {i} has ambient dimension {x.ambient_dim}, member 0 has {n}"
             )
 
-    blocks: List[Subspace] = [Subspace.full(n)]
+    whole = Subspace.full(n)
+    blocks: list = [(whole, None)]  # (block, its lines when already read)
     for x in family:
-        p, split = x.proj, []
-        for y in blocks:
-            q = y.proj
-            t = p.frobenius(q)  # tr(P_X P_Y) times p.den * q.den
-            if not t or t == y.dim * p.den * q.den:
-                split.append(y)  # X is orthogonal to Y or contains it
+        us, split = x.basis, []
+        for y, lines in blocks:
+            if y is whole and 0 < len(us) < n:  # X and X^perp, whose lines are read once
+                rest = tuple(column_lines(us, n, complement=True))
+                split += [(x, None), (Subspace.spanned_by(rest, n), rest)]
                 continue
-            z = p @ q
-            if not z.is_hermitian():  # name the pairwise scan's first pair
+            parts = None if y is whole else _split(us, y.basis)
+            if parts is None:
+                split.append((y, lines))
+                continue
+            if sum(map(len, parts)) != y.dim:  # name the pairwise scan's first pair
                 raise next(IncompatibleFamily(i, j) for i, j in combinations(range(len(family)), 2)
                            if not is_compatible(family[i], family[j]))
-            split += [Subspace(z), Subspace(q - z)]
+            split += [(Subspace.spanned_by(p, n), None) for p in parts]
         blocks = split
 
-    lines: List[Subspace] = []
-    for block in blocks:
-        lines.extend(split_into_lines(block))
-    return Frame(n, tuple(lines))
+    return Frame(n, tuple(line for y, lines in blocks for line in (
+        [Subspace.spanned_by([u], n) for u in lines] if lines else split_into_lines(y))))

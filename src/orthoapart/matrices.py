@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import GaussianRational, ZERO, _make as _scalar, as_scalar
+from .scalars import GaussianRational, _make as _scalar, as_scalar
 
 Vector = Tuple[GaussianRational, ...]
 Rows = Optional[Sequence[Sequence[int]]]  # None is a zero imaginary part
@@ -51,12 +51,6 @@ def _mul(x: Rows, y: Rows, cols: int) -> list:
                 acc = [p + a * b for p, b in zip(acc, yrow)]
         out.append(acc)
     return out
-
-
-def _hermitian(re: Rows, im: Rows) -> bool:
-    """Integer rows (re, im), as lists or tuples, equal their conjugate transpose."""
-    return list(map(tuple, re)) == list(zip(*re)) and (
-        im is None or [tuple(-a for a in r) for r in im] == list(zip(*im)))
 
 
 def _bareiss(m: List[list], ncols: int) -> Tuple[int, List[int]]:
@@ -121,12 +115,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls._make(1, [[int(i == j) for j in range(n)] for i in range(n)], None, n, n)
 
-    @classmethod
-    def diagonal(cls, entries: Sequence) -> "Matrix":
-        d = vector(entries)
-        n = len(d)
-        return cls([[d[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> GaussianRational:
@@ -141,11 +129,6 @@ class Matrix:
     @property
     def den(self) -> int:
         return self._den
-
-    def lead_column(self) -> Tuple[int, tuple]:
-        """The index and the numerators (re, im) of the first nonzero column."""
-        return next((j, (re, im)) for j, (re, im) in enumerate(self.integer_columns())
-                    if any(re) or im and any(im))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -192,17 +175,9 @@ class Matrix:
 
     def product_is_hermitian(self, other: "Matrix") -> bool:
         """self @ other equals its conjugate transpose, read on the product's integers."""
-        return _hermitian(*self._product(other))
-
-    def frobenius(self, other: "Matrix") -> int:
-        """Re tr(self @ other*) = sum re re' + im im' over den * other.den: tr(self @ other)
-        for Hermitian other, and tr(PQ) = |PQ|_F^2 for projections P, Q."""
-        self._same_shape(other)
-        flat = chain.from_iterable
-        t = sum(map(mul, flat(self._re), flat(other._re)))
-        if self._im is not None and other._im is not None:
-            t += sum(map(mul, flat(self._im), flat(other._im)))
-        return t
+        re, im = self._product(other)
+        return list(map(tuple, re)) == list(zip(*re)) and (
+            im is None or [tuple(-a for a in r) for r in im] == list(zip(*im)))
 
     def integer_trace(self) -> Tuple[int, int]:
         """The numerators (re, im) of the trace over `den`."""
@@ -220,10 +195,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self._den, self._re, self._im))
-
-    def is_hermitian(self) -> bool:
-        """self equals its conjugate transpose, read on the integers."""
-        return _hermitian(self._re, self._im)
 
     def is_zero(self) -> bool:
         return self._im is None and not any(map(any, self._re))
@@ -274,6 +245,8 @@ class Matrix:
 
 def column_inner(u: Sequence, v: Sequence) -> Tuple[int, int]:
     """The real and imaginary parts of u*v, for columns (re, im, ...)."""
+    if u[1] is None and v[1] is None:
+        return sum(map(mul, u[0], v[0])), 0
     dot = lambda x, y: 0 if x is None or y is None else sum(map(mul, x, y))  # noqa: E731
     return dot(u[0], v[0]) + dot(u[1], v[1]), dot(u[0], v[1]) - dot(u[1], v[0])
 
@@ -283,6 +256,12 @@ def _axpy(x: Optional[list], t: int, y: Optional[Sequence[int]]) -> Optional[lis
     if y is None or not t:
         return x
     return [t * b for b in y] if x is None else [a + t * b for a, b in zip(x, y)]
+
+
+def _addmul(v: tuple, a: int, b: int, u: Sequence) -> tuple:
+    """v + (a + bi) u for columns (re, im, ...), None standing for a zero imaginary part."""
+    (vr, vi), ur, ui = v, u[0], u[1]
+    return _axpy(_axpy(vr, a, ur), -b, ui), _axpy(_axpy(vi, a, ui), b, ur)
 
 
 def _primitive(vr: Sequence[int], vi: Optional[Sequence[int]]) -> tuple:

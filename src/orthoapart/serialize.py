@@ -13,7 +13,6 @@ a non-integer dimension) raises OrthoapartError naming the field.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import lcm
 from typing import List, Optional, Tuple
 
@@ -55,11 +54,15 @@ def _scalar(data, where: str):
 
 
 def _column(data, where: str) -> tuple:
-    """A vector as the integer column (re, im) over the lcm of its denominators.
-    Plain p and p/q text is read by int(), anything else by parse_scalar."""
+    """A vector as the integer column (re, im) over the lcm of its denominators: by
+    int() in one pass when all its text is plain p or p/q, else through parse_scalar."""
+    items = _list(data, where)
+    plain = [plain_ratio(s) if type(s) is str else None for s in items]
+    if all(plain):
+        d = lcm(*(q for _, q in plain))
+        return [p * (d // q) for p, q in plain], None
     parts = []
-    for i, s in enumerate(_list(data, where)):
-        pq = plain_ratio(s) if type(s) is str else None
+    for i, (s, pq) in enumerate(zip(items, plain)):
         if pq:
             parts.append((*pq, 0, 1))
         else:
@@ -100,10 +103,12 @@ def family_from_json(data, ambient_dim: Optional[int] = None) -> List[Subspace]:
 
 
 def _line_text(line: Subspace) -> List[str]:
-    """A line's spanning vector, the first nonzero column of its projection,
-    as text from the column's numerators over the projection's denominator."""
-    den, (re, im) = line.proj.den, line.proj.lead_column()[1]
-    return [scalar_text(a, b, den) for a, b in zip(re, im or repeat(0))]
+    """A line's spanning vector as text: its projection's first nonzero column
+    u conj(u_j) / u*u, read off the line's primitive column u."""
+    re, im, d = line.basis[0]
+    im = im or [0] * len(re)
+    a, b = next((a, b) for a, b in zip(re, im) if a or b)  # u_j = a + bi
+    return [scalar_text(x * a + y * b, y * a - x * b, d) for x, y in zip(re, im)]
 
 
 def frame_to_json(frame: Frame) -> dict:

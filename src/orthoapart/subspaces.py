@@ -1,31 +1,31 @@
-"""Subspaces of C^n stored canonically as exact orthogonal projections.
+"""Subspaces of C^n, held as an orthogonal integer basis or an exact projection.
 
-A subspace is represented by its projection matrix P = sum u u*/(u*u) over
-any orthogonal basis u of the span, here the integer Gram-Schmidt basis of
-its spanning vectors.  P is rational, so no square roots appear; it is summed
-in integers on one canonical denominator, so subspaces are equal iff their
-projections are entrywise equal.  The lattice operations are exact and need
-no elimination: the join is the projection onto the projections' integer
-columns, the orthocomplement is I - P, and the meet is X ^ Y = (X^perp + Y^perp)^perp.
+A subspace built from spanning vectors holds their integer Gram-Schmidt basis
+u, pairwise orthogonal primitive columns (re, im, d = u*u), and builds its
+projection P = sum u u*/d, in integers over one canonical denominator, on first
+use.  Subspaces are equal iff their projections are; equality, hashing and the
+lattice read P.  The join is the projection onto both projections' integer
+columns, the orthocomplement is I - P, and X ^ Y = (X^perp + Y^perp)^perp.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, gram_schmidt, projection_matrix, vector
+from .matrices import Matrix, _addmul, _primitive, gram_schmidt, projection_matrix, vector
 
 
 class Subspace:
-    __slots__ = ("ambient_dim", "proj")
+    __slots__ = ("ambient_dim", "_proj", "_basis")
 
     def __init__(self, proj: Matrix):
         if proj.rows != proj.cols:
             raise DimensionMismatch("projection matrix must be square")
         self.ambient_dim = proj.rows
-        self.proj = proj
+        self._proj, self._basis = proj, None
 
     # -- constructors ------------------------------------------------------
 
@@ -35,18 +35,41 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(Matrix.identity(n))
+        return cls.coordinate(n, range(n))
+
+    @classmethod
+    def spanned_by(cls, basis: Sequence[tuple], n: int) -> "Subspace":
+        """The span of pairwise orthogonal primitive columns (re, im, d = u*u) in C^n."""
+        x = cls.__new__(cls)
+        x.ambient_dim, x._proj, x._basis = n, None, tuple(basis)
+        return x
 
     @classmethod
     def coordinate(cls, n: int, indices: Iterable[int]) -> "Subspace":
         """Span of the standard basis vectors e_i for i in indices."""
         idx = set(indices)
-        return cls(Matrix.diagonal([1 if i in idx else 0 for i in range(n)]))
+        units = [([int(i == j) for i in range(n)], None, 1) for j in range(n) if j in idx]
+        return cls.spanned_by(units, n)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def proj(self) -> Matrix:
+        if self._proj is None:
+            self._proj = projection_matrix(self._basis, self.ambient_dim)
+        return self._proj
+
+    @property
+    def basis(self) -> tuple:
+        """Orthogonal primitive columns (re, im, d) spanning it: held, or P's lines."""
+        if self._basis is None:
+            self._basis = tuple(islice(gram_schmidt(self._proj.integer_columns()), self.dim))
+        return self._basis
+
+    @property
     def dim(self) -> int:
+        if self._basis is not None:
+            return len(self._basis)
         re, im = self.proj.integer_trace()
         if im or re % self.proj.den:
             raise ValueError("projection trace is not an integer; corrupt subspace")
@@ -110,7 +133,7 @@ def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None, *
         if ambient_dim is None:
             raise DimensionMismatch("ambient_dim required for an empty spanning set")
         n = ambient_dim
-    return Subspace(projection_matrix(list(gram_schmidt(cols)), n))
+    return Subspace.spanned_by(gram_schmidt(cols), n)
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
@@ -128,3 +151,34 @@ def span_sum(x: Subspace, y: Subspace) -> Subspace:
 def complement_within(x: Subspace, y: Subspace) -> Subspace:
     """x^perp intersected with y, as (x + y^perp)^perp."""
     return span_sum(x, y.perp()).perp()
+
+
+def column_lines(basis: Sequence[tuple], n: int, complement: bool = False) -> Iterator[tuple]:
+    """islice(gram_schmidt(P.integer_columns()), rank) for P = sum u u*/d over an
+    orthogonal basis (re, im, d), or for I - P with complement, with no n x n matrix:
+    l* P e_j = conj(l_j) for l in the span, so column j less its part on the lines l
+    so far is (P - Q) e_j, Q = sum l l*/d_l, of squared norm P_jj - Q_jj."""
+    big = lcm(*(d for *_, d in basis))
+    p = [0] * n  # P_jj times L
+    for ur, ui, d in basis:
+        p = [a + big // d * (x * x + (y * y if ui else 0)) for a, x, y in zip(p, ur, ui or ur)]
+    sign, want = (-1, n - len(basis)) if complement else (1, len(basis))
+    p = [big - a for a in p] if complement else p
+    lines: list = []
+    m, q = 1, [0] * n  # Q_jj = q[j] / M
+    for j in range(n):
+        if len(lines) == want:
+            return
+        if p[j] * m == q[j] * big:
+            continue
+        v = [big * m * (k == j) for k in range(n)] if complement else [0] * n, None
+        for terms, s in ((basis, sign * m * big), (lines, -m * big)):
+            for u in terms:  # s/d conj(u_j) u
+                v = _addmul(v, s // u[2] * u[0][j], -s // u[2] * u[1][j] if u[1] else 0, u)
+        lr, li = _primitive(*v)
+        d = sum(a * a for a in lr) + (sum(a * a for a in li) if li else 0)
+        lines.append((lr, li, d))
+        yield lines[-1]
+        if len(lines) < want:
+            m, scale = lcm(m, d), lcm(m, d) // m
+            q = [a * scale + m // d * (x * x + (y * y if li else 0)) for a, x, y in zip(q, lr, li or lr)]

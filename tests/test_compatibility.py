@@ -1,31 +1,39 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from orthoapart import (
     Frame,
+    compatibility,
     Subspace,
     is_compatible,
     projection_of,
     refine_to_frame,
+    serialize,
     span_sum,
     split_into_lines,
 )
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError
-from orthoapart.matrices import Matrix, gram_schmidt
+from orthoapart.matrices import Matrix, gram_schmidt, projection_matrix
+from orthoapart.subspaces import column_lines
 from orthoapart.scalars import I
 
 from util import (
     SMALL,
     OracleMatrix,
+    frobenius,
+    grid_spaces,
     inner,
+    is_hermitian,
     lattice_compatible,
     lattice_refine,
     oracle_dim,
     oracle_is_compatible,
     oracle_orthogonal_columns,
+    oracle_pairwise_refine_to_frame,
     oracle_refine_to_frame,
     oracle_split_into_lines,
     pivot_basis,
@@ -155,11 +163,11 @@ def test_frobenius_numerator_is_the_trace_of_the_product():
         for x in spaces:
             for y in spaces:
                 p, q = x.proj, y.proj
-                t, z = p.frobenius(q), p @ q
+                t, z = frobenius(p, q), p @ q
                 assert product_trace(p, q) == Fraction(t, p.den * q.den)
                 assert (t == 0) == z.is_zero()
                 assert (t == y.dim * p.den * q.den) == (z == q)
-                cases.add((t == 0, z == q, z.is_hermitian()))
+                cases.add((t == 0, z == q, is_hermitian(z)))
     assert cases == {(True, False, True), (True, True, True), (False, True, True),
                      (False, False, True), (False, False, False)}
 
@@ -190,11 +198,11 @@ def test_refine_matches_pairwise_scan_oracle_on_small_grid():
     kinds = set()
     for family in families:
         got = _refined(refine_to_frame, family)
-        assert got == _refined(oracle_refine_to_frame, family)
+        assert got == _refined(oracle_pairwise_refine_to_frame, family)
         kinds.add((len(family), got[0] if isinstance(got[0], str) else "frame"))
     assert {(k, "frame") for k in (1, 2, 3)} <= kinds
     assert {(k, "incompatible") for k in (2, 3)} <= kinds
-    assert refine_to_frame([], 2) == oracle_refine_to_frame([], 2)
+    assert refine_to_frame([], 2) == oracle_pairwise_refine_to_frame([], 2)
 
 
 def _first_failing_member(family) -> int:
@@ -209,10 +217,20 @@ def test_refine_matches_pairwise_scan_oracle_on_rotated_frames(monkeypatch):
     frames, with zero, repeated and full-space members, one in three given
     one or two members from another frame, lines through two lines of the
     frame or members of another ambient dimension.  A compatible family
-    takes one product per split: the final blocks, which group the lines
-    by the members holding them, less one."""
+    takes no product and one split per final block, which groups the lines
+    by the members holding them, less one: the whole space's split into the
+    first member and its complement, then one basis split for each block
+    after the first two."""
     products, matmul = [], Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    splits, basis_split = [], compatibility._split
+
+    def counted_split(us, vs):
+        parts = basis_split(us, vs)
+        splits.extend([parts] if parts else [])
+        return parts
+
+    monkeypatch.setattr(compatibility, "_split", counted_split)
     rng = random.Random(24)
     kinds, later = set(), 0
     for k in range(300):
@@ -233,11 +251,14 @@ def test_refine_matches_pairwise_scan_oracle_on_rotated_frames(monkeypatch):
             ]))
         rng.shuffle(family)
         products.clear()
+        splits.clear()
         got = _refined(refine_to_frame, family)
-        split = len(products)
-        assert got == _refined(oracle_refine_to_frame, family)
+        matmuls = len(products)
+        assert got == _refined(oracle_pairwise_refine_to_frame, family)
         kinds.add(got[0] if isinstance(got[0], str) else "frame")
         if not isinstance(got[0], str):
+            assert matmuls == 0
+            split = len(splits) + any(0 < x.dim < n for x in family)
             blocks = {tuple(x.contains(line) for x in family) for line in got}
             assert split == len(blocks) - 1 < n
         if got[0] == "incompatible":
@@ -252,7 +273,7 @@ def test_refine_names_the_first_pair_not_the_first_failing_member():
     family = [projection_of([e(3, 2)]), projection_of([e(3, 0)]),
               projection_of([[1, 1, 0]]), projection_of([[0, 1, 1]])]
     assert _first_failing_member(family) == 2
-    for refine in (refine_to_frame, oracle_refine_to_frame):
+    for refine in (refine_to_frame, oracle_pairwise_refine_to_frame, oracle_refine_to_frame):
         with pytest.raises(IncompatibleFamily) as exc:
             refine(family)
         assert exc.value.pair == (0, 3)
@@ -412,3 +433,87 @@ def test_frame_checks_complex_lines_pairwise():
     with pytest.raises(OrthoapartError, match="not orthogonal"):
         Frame(2, (projection_of([[1, 0]]), projection_of([[I, 1]])))
     assert Frame(2, (projection_of([[1, I]]), projection_of([[I, 1]])))
+
+
+def test_refine_matches_product_oracle_on_every_small_pair():
+    """Bases against projections, products and lead columns on every ordered
+    pair of the 11 subspaces of C^2 and the 51 of C^3 that the lattice test
+    enumerates: the frame lines as projections, in order, or the pair."""
+    pairs = list(product(grid_spaces(2, 2), repeat=2)) + list(product(grid_spaces(3, 1), repeat=2))
+    kinds = set()
+    for x, y in pairs:
+        got = _refined(refine_to_frame, [x, y])
+        assert got == _refined(oracle_refine_to_frame, [x, y])
+        kinds.add(got[0] if isinstance(got[0], str) else "frame")
+    assert len(pairs) == 11 ** 2 + 51 ** 2 and kinds == {"frame", "incompatible"}
+
+
+def _comb(s, u, c, w):
+    """s u + c w on integer columns (re, im, ...), None a zero imaginary part."""
+    zero = [0] * len(u[0])
+    return tuple([s * x + c * y for x, y in zip(a or zero, b or zero)] for a, b in zip(u[:2], w[:2]))
+
+
+def test_refine_matches_product_oracle_on_gaussian_frames():
+    """200 seeded families in C^1 to C^8 read from spanning vectors, as the
+    CLI reads them: each member spans some lines of a complex rotated frame,
+    each line scaled and mixed with the member's previous line.  One family
+    in three also holds the line through the sum of two frame lines, which
+    is incompatible with a member holding exactly one of them."""
+    rng = random.Random(30)
+    kinds = set()
+    for k in range(200):
+        n = rng.randint(1, 8)
+        gen = [line.basis[0] for line in random_complex_frame(n, rng, rng.randint(1, 4)).lines]
+        family = []
+        for _ in range(rng.randint(1, 4)):
+            held = [i for i in range(n) if rng.random() < 0.5]
+            cols = [_comb(rng.choice((1, 2, -3)), gen[i], rng.randint(-2, 2) if j else 0, gen[held[j - 1]])
+                    for j, i in enumerate(held)]
+            family.append(projection_of(cols, ambient_dim=n, integer=True))
+        if k % 3 == 0 and n > 1:
+            a, b = rng.sample(range(n), 2)
+            line = projection_of([_comb(1, gen[a], 1, gen[b])], ambient_dim=n, integer=True)
+            family.insert(rng.randint(0, len(family)), line)
+        got = _refined(refine_to_frame, family)
+        assert got == _refined(oracle_refine_to_frame, family)
+        kinds.add(got[0] if isinstance(got[0], str) else "frame")
+    assert kinds == {"frame", "incompatible"}
+
+
+def test_line_reader_matches_gram_schmidt_on_projection_columns():
+    """column_lines on a basis equals islice(gram_schmidt(P.integer_columns()),
+    dim), and with complement the same on I - P; a basis-held subspace's
+    lazy projection is projection_matrix of its basis.  Spans of a few
+    vectors over SMALL in C^1 to C^8, whose projections often repeat a
+    nonzero column, so that dependent columns are skipped."""
+    rng = random.Random(31)
+    skipped = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        x = projection_of([[rng.choice(SMALL + [0, 0]) for _ in range(n)] for _ in range(rng.randint(0, 3))],
+                          ambient_dim=n)
+        p = projection_matrix(x.basis, n)
+        assert x.proj == p
+        for m, k, complement in ((p, x.dim, False), (Matrix.identity(n) - p, n - x.dim, True)):
+            want = list(islice(gram_schmidt(m.integer_columns()), k))
+            assert list(column_lines(x.basis, n, complement)) == want
+            cols = list(m.integer_columns())
+            upto = next(t for t in range(n + 1) if len(list(gram_schmidt(cols[:t]))) == k)
+            skipped += sum(bool(any(re) or im and any(im)) for re, im in cols[:upto]) > k
+    assert skipped > 50
+
+
+def test_refine_of_one_member_at_n_120_stays_small():
+    """One all-"1" member in C^120 refines, and its frame is written, with a
+    tracemalloc peak under 4 MiB: no projection of the frame's lines or
+    blocks is built.  Building those projections peaked at 15.3 MiB."""
+    family = serialize.family_from_json([[["1"] * 120]])
+    tracemalloc.start()
+    try:
+        text = serialize.frame_to_json(refine_to_frame(family))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text["lines"]) == 120 and text["lines"][0] == ["1/120"] * 120
+    assert peak < 4 * 2 ** 20

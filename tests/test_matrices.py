@@ -22,7 +22,7 @@ def rand_matrix(rows, cols, rng, complex_entries=True):
 
 
 # the adjoint is the oracle's: the package reads self-adjointness off the
-# integers (is_hermitian, product_is_hermitian) and builds no adjoint
+# integers (product_is_hermitian) and builds no adjoint
 
 def test_adjoint_is_involution():
     rng = random.Random(7)

@@ -18,6 +18,7 @@ from orthoapart.errors import DimensionMismatch, OrthoapartError
 from util import (
     apply,
     conjugate_operator,
+    diagonal,
     matrices_commute,
     matrices_orthogonal,
     product_trace,
@@ -69,9 +70,9 @@ def test_operator_validation():
 
 def test_materialize_diagonal():
     a = op_from_spans(2, [1], [[e(2, 0)]])
-    assert materialize(a) == Matrix.diagonal([1, 0])
+    assert materialize(a) == diagonal([1, 0])
     b = op_from_spans(3, [1, 2], [[e(3, 0)], [e(3, 1)]])
-    assert materialize(b) == Matrix.diagonal([1, 2, 0])
+    assert materialize(b) == diagonal([1, 2, 0])
 
 
 def test_materialize_rotated():

@@ -28,6 +28,7 @@ from util import (
     OracleMatrix,
     as_permutation,
     compositions,
+    diagonal,
     conjugate_operator,
     label_check_preservation,
     label_gram_obstruction,
@@ -92,8 +93,8 @@ def test_comm_swap_basic():
     swapped = [s for s in range(len(p.members)) if p.mapping[s] != s]
     ops = transformation_operators(p)
     a, b = (ops[s] for s in swapped)
-    assert materialize(a) == Matrix.diagonal([1, 2, 0, 0])
-    assert materialize(b) == Matrix.diagonal([2, 1, 0, 0])
+    assert materialize(a) == diagonal([1, 2, 0, 0])
+    assert materialize(b) == diagonal([2, 1, 0, 0])
     assert commutes(a, b)
     assert check_preservation(t, "commute")
     witness = gram_obstruction(t)
@@ -104,7 +105,7 @@ def test_comm_swap_witness_values():
     p = as_permutation(example_comm_swap(PAIR))
     # bystander C = 1*P_e1 + 2*P_e3 pairs differently with A and B
     mats = [materialize(op) for op in transformation_operators(p)]
-    c_idx = mats.index(Matrix.diagonal([1, 0, 2, 0]))
+    c_idx = mats.index(diagonal([1, 0, 2, 0]))
     swapped = [s for s in range(len(p.members)) if p.mapping[s] != s]
     a_idx, b_idx = swapped
     tr = lambda i, j: product_trace(mats[i], mats[j]).re

@@ -46,11 +46,14 @@ def _outcome(read, data, ambient_dim=None):
 
 def test_family_reader_matches_scalar_parsing_oracle():
     """Each scalar alone, beside plain text with other denominators, in
-    every position of a spanning set, and in seeded random families."""
+    every position of a spanning set, last after plain entries (so that a
+    complex, malformed or over-limit entry sends a vector read as plain so
+    far to the scalar parser), and in seeded random families."""
     families = []
     for s in SCALARS:
         families += [
             [[[s]]],
+            [[["1/2", "-3", "4/6", s]], [["0", "7", "1/5", "2"]]],
             [[[s, "1/3", "0"], ["2", s, "-1/6"]], [["1", "1", "1"]]],
             [[["1/4", "0", "1"]], [["0", "5/3", s], [s, s, s]]],
         ]

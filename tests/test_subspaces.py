@@ -19,6 +19,8 @@ from util import (
     SMALL,
     OracleMatrix,
     contains_vector,
+    diagonal,
+    grid_spaces,
     oracle_intersect,
     oracle_projection_of,
     random_unitary,
@@ -37,7 +39,7 @@ def hand_projection(columns, n):
 
 def test_projection_coordinate_axis():
     p = projection_of([e(2, 0)])
-    assert p.proj == Matrix.diagonal([1, 0])
+    assert p.proj == diagonal([1, 0])
     assert p.dim == 1
 
 
@@ -183,15 +185,6 @@ def assert_lattice_matches_oracles(x, y):
     columns = OracleMatrix.of(x.proj).columns() + OracleMatrix.of(y.proj).columns()
     assert OracleMatrix.of(span_sum(x, y).proj) == oracle_projection_of(columns, ambient_dim=n)
     assert OracleMatrix.of(complement_within(x, y).proj) == oracle_intersect(x.perp(), y)
-
-
-def grid_spaces(n, spanning):
-    """The subspaces of C^n spanned by at most `spanning` vectors with entries
-    in {0, 1, i, 1 - i}, with the zero and the full space."""
-    vecs = [list(v) for v in product([0, 1, I, 1 - I], repeat=n)]
-    spans = [[]] + [list(s) for k in range(1, spanning + 1) for s in combinations(vecs, k)]
-    return sorted({projection_of(s, ambient_dim=n) for s in spans} | {Subspace.full(n)},
-                  key=lambda x: (x.dim, repr(x.proj)))
 
 
 def test_lattice_matches_oracles_on_every_small_pair():

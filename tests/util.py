@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product
+from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from orthoapart import (
@@ -51,7 +52,7 @@ from orthoapart.apartments import (
 )
 from orthoapart.cli import SCHEMA_VERSION
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, SingularMatrix
-from orthoapart.matrices import Vector, vector
+from orthoapart.matrices import Vector, column_inner, gram_schmidt, projection_matrix, vector
 from orthoapart.scalars import I, ONE, ZERO, GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
 
@@ -204,14 +205,17 @@ def lattice_refine(family: Sequence[Subspace]) -> Frame:
     return Frame(n, tuple(lines))
 
 
-def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
-    """`refine_to_frame` before exact traces: a pairwise compatibility scan up
-    front, then one normalized product per member and block, compared with
-    the block and subtracted from it through negation and addition."""
-    if not family:
-        if ambient_dim is None:
-            raise OrthoapartError("ambient_dim required for an empty family")
-        return Frame.standard(ambient_dim)
+def grid_spaces(n, spanning):
+    """The subspaces of C^n spanned by at most `spanning` vectors with entries
+    in {0, 1, i, 1 - i}, with the zero and the full space."""
+    vecs = [list(v) for v in product([0, 1, I, 1 - I], repeat=n)]
+    spans = [[]] + [list(s) for k in range(1, spanning + 1) for s in combinations(vecs, k)]
+    return sorted({projection_of(s, ambient_dim=n) for s in spans} | {Subspace.full(n)},
+                  key=lambda x: (x.dim, repr(x.proj)))
+
+
+def _refined_dim(family: Sequence[Subspace], ambient_dim: int | None) -> int:
+    """The ambient dimension of a nonempty family, checked as `refine_to_frame` checks it."""
     n = family[0].ambient_dim
     if ambient_dim is not None and ambient_dim != n:
         raise OrthoapartError("ambient_dim disagrees with the family's ambient dimension")
@@ -220,6 +224,18 @@ def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None =
             raise DimensionMismatch(
                 f"family member {i} has ambient dimension {x.ambient_dim}, member 0 has {n}"
             )
+    return n
+
+
+def oracle_pairwise_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
+    """`refine_to_frame` before exact traces: a pairwise compatibility scan up
+    front, then one normalized product per member and block, compared with
+    the block and subtracted from it through negation and addition."""
+    if not family:
+        if ambient_dim is None:
+            raise OrthoapartError("ambient_dim required for an empty family")
+        return Frame.standard(ambient_dim)
+    n = _refined_dim(family, ambient_dim)
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if not is_compatible(family[i], family[j]):
@@ -240,6 +256,69 @@ def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None =
     for block in blocks:
         lines.extend(split_into_lines(block))
     return Frame(n, tuple(lines))
+
+
+def frobenius(p: Matrix, q: Matrix) -> int:
+    """Re tr(p q*) = sum re re' + im im' over p.den * q.den: tr(p q) for
+    Hermitian q, and tr(PQ) = |PQ|_F^2 for projections P, Q."""
+    return sum(sum(map(mul, a, b)) + (sum(map(mul, c, d)) if c and d else 0)
+               for (a, c), (b, d) in zip(p.integer_columns(), q.integer_columns()))
+
+
+def is_hermitian(m: Matrix) -> bool:
+    """m equals its conjugate transpose, read on the integers of m I."""
+    return m.product_is_hermitian(Matrix.identity(m.cols))
+
+
+def lead_column(m: Matrix) -> Tuple[int, tuple]:
+    """The index and the numerators (re, im) of the first nonzero column."""
+    return next((j, (re, im)) for j, (re, im) in enumerate(m.integer_columns())
+                if any(re) or im and any(im))
+
+
+def diagonal(entries: Sequence) -> Matrix:
+    d = vector(entries)
+    return Matrix([[d[i] if i == j else ZERO for j in range(len(d))] for i in range(len(d))])
+
+
+def oracle_product_lines(block: Subspace) -> List[Subspace]:
+    """`split_into_lines` on projections: Gram-Schmidt over the block's
+    integer projection columns, each line an n x n projection."""
+    us = gram_schmidt(block.proj.integer_columns())
+    return [Subspace(projection_matrix([u], block.ambient_dim)) for u in islice(us, block.dim)]
+
+
+def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None = None) -> Frame:
+    """`refine_to_frame` on projections, before bases: a block is kept whole
+    when the integer Frobenius sum tr(P_X P_Y) is 0 or dim Y, and otherwise
+    split into z = P_X P_Y, which must be self-adjoint, and P_Y - z; each
+    block's lines are projections, and the frame checks their lead columns."""
+    if not family:
+        if ambient_dim is None:
+            raise OrthoapartError("ambient_dim required for an empty family")
+        return Frame.standard(ambient_dim)
+    n = _refined_dim(family, ambient_dim)
+    blocks: List[Subspace] = [Subspace(Matrix.identity(n))]
+    for x in family:
+        p, split = x.proj, []
+        for y in blocks:
+            q = y.proj
+            t = frobenius(p, q)  # tr(P_X P_Y) times p.den * q.den
+            if not t or t == y.dim * p.den * q.den:
+                split.append(y)  # X is orthogonal to Y or contains it
+                continue
+            z = p @ q
+            if not is_hermitian(z):  # name the pairwise scan's first pair
+                raise next(IncompatibleFamily(i, j) for i, j in combinations(range(len(family)), 2)
+                           if not is_compatible(family[i], family[j]))
+            split += [Subspace(z), Subspace(q - z)]
+        blocks = split
+    lines = tuple(line for block in blocks for line in oracle_product_lines(block))
+    cols = [lead_column(x.proj)[1] for x in lines]
+    for i, j in combinations(range(n), 2):
+        if any(column_inner(cols[i], cols[j])):
+            raise OrthoapartError(f"frame lines {i} and {j} are not orthogonal")
+    return Frame(n, lines)
 
 
 def span_sum_image(op: SpectralOperator) -> Subspace:
