@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for commuting families of finite-rank
 self-adjoint operators on C^n.
 
-Core pieces: Gaussian-rational scalars and matrices, subspaces as canonical
-projection matrices, spectral operators and their conjugacy classes,
+Core pieces: Gaussian-rational scalars and matrices, subspaces as orthogonal
+integer bases, spectral operators and their conjugacy classes,
 compatibility and frame refinement, orthogonal apartments with the
 orthocomplementary-subset counting machinery, and the counterexample /
 obstruction constructions.

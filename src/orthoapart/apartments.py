@@ -93,17 +93,12 @@ class Labeling(Value):
 
     def to_operator(self, ap: Apartment) -> SpectralOperator:
         """The spectral operator whose eigenspace for slot t is the sum of
-        the frame lines labeled t."""
+        the frame lines labeled t, spanned by their orthogonal columns."""
         self.validate(ap.cls)
-        eig = []
-        for t, alpha in enumerate(ap.cls.alphas):
-            proj = None
-            for i, s in enumerate(self.assignment):
-                if s == t:
-                    p = ap.frame.lines[i].proj
-                    proj = p if proj is None else proj + p
-            eig.append((alpha, Subspace(proj)))
-        return SpectralOperator(ap.cls, tuple(eig))
+        cols = [line.basis[0] for line in ap.frame.lines]
+        eig = tuple((alpha, Subspace.spanned_by([u for u, s in zip(cols, self.assignment) if s == t], ap.cls.n))
+                    for t, alpha in enumerate(ap.cls.alphas))
+        return SpectralOperator(ap.cls, eig)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ A matrix is integer rows ``re`` and ``im`` (None when real) over one
 denominator ``den > 0``, with gcd(den, entries) = 1: one representation per
 value, so equality and hashing are tuple compares.  `GaussianRational` is
 the boundary type of the constructors and of entry access.  Matrices are
-immutable.  Projections need no elimination: `gram_schmidt` orthogonalizes
-integer columns, and `projection_matrix` sums P = sum (L/d) u u* over
-L = lcm(d = u*u).  `rref` and `inverse` are fraction-free Gauss-Jordan
-(Bareiss 1968) pivoting on the first nonzero entry of each column; a complex
-matrix is eliminated as its real embedding, a + bi becoming [[a, -b], [b, a]],
-whose reduced form embeds the complex one (so complex column j is a pivot iff
-real column 2j is).  The subspace lattice uses neither.
+immutable.  A matrix is a boundary form: subspaces and their predicates
+read orthogonal integer columns, which `gram_schmidt` builds from any
+integer columns, and only a projection asked for (`projection_matrix`, the
+sum P = sum (L/d) u u* over L = lcm(d = u*u)) or an operator's matrix is
+one.  `rref` and `inverse` are fraction-free Gauss-Jordan (Bareiss 1968)
+pivoting on the first nonzero entry of each column; a complex matrix is
+eliminated as its real embedding, a + bi becoming [[a, -b], [b, a]], whose
+reduced form embeds the complex one (so complex column j is a pivot iff real
+column 2j is).  The subspace lattice uses neither.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._make(1, [[0] * cols for _ in range(rows)], None, rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._make(1, [[int(i == j) for j in range(n)] for i in range(n)], None, n, n)
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> GaussianRational:
@@ -125,10 +123,6 @@ class Matrix:
     def integer_columns(self) -> Iterator[tuple]:
         """The columns' numerators over the one denominator."""
         return zip(zip(*self._re), repeat(None) if self._im is None else zip(*self._im))
-
-    @property
-    def den(self) -> int:
-        return self._den
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -159,32 +153,15 @@ class Matrix:
         re, im = _comb(cr, self._re, -ci, self._im), _comb(cr, self._im, ci, self._re)
         return Matrix._make(self._den * cd, re, im, self.rows, self.cols)
 
-    def _product(self, other: "Matrix") -> Tuple[list, Rows]:
-        """The integer rows (re, im) of self @ other over den * other.den, not normalized."""
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         n, (ar, ai), (br, bi) = other.cols, (self._re, self._im), (other._re, other._im)
         re = _mul(ar, br, n)
         if ai is not None and bi is not None:
             re = _comb(1, re, -1, _mul(ai, bi, n))
-        return re, _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        re, im = self._product(other)
+        im = _comb(1, ai and _mul(ai, br, n), 1, bi and _mul(ar, bi, n))
         return Matrix._make(self._den * other._den, re, im, self.rows, other.cols)
-
-    def product_is_hermitian(self, other: "Matrix") -> bool:
-        """self @ other equals its conjugate transpose, read on the product's integers."""
-        re, im = self._product(other)
-        return list(map(tuple, re)) == list(zip(*re)) and (
-            im is None or [tuple(-a for a in r) for r in im] == list(zip(*im)))
-
-    def integer_trace(self) -> Tuple[int, int]:
-        """The numerators (re, im) of the trace over `den`."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        re = sum(self._re[i][i] for i in range(self.rows))
-        return re, 0 if self._im is None else sum(self._im[i][i] for i in range(self.rows))
 
     # -- predicates --------------------------------------------------------
 
@@ -195,9 +172,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self._den, self._re, self._im))
-
-    def is_zero(self) -> bool:
-        return self._im is None and not any(map(any, self._re))
 
     # -- elimination -------------------------------------------------------
 

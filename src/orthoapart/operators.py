@@ -88,12 +88,9 @@ def image_of(a: SpectralOperator) -> Subspace:
     """Sum of all maximal eigenspaces; its dimension is the class rank.
 
     The eigenspaces are mutually orthogonal (checked on construction), so
-    the sum of their projections is exactly the projection onto their span.
+    their bases together are an orthogonal basis of their span.
     """
-    proj = Matrix.zeros(a.n, a.n)
-    for _, x in a.eigenspaces:
-        proj = proj + x.proj
-    return Subspace(proj)
+    return Subspace.spanned_by([u for _, x in a.eigenspaces for u in x.basis], a.n)
 
 
 def commutes(a: SpectralOperator, b: SpectralOperator) -> bool:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .apartments import _multinomial
-from .compatibility import split_into_lines
 from .errors import (
     NoRoom,
     NotAnEigenline,
@@ -35,7 +34,7 @@ from .errors import (
     Value,
 )
 from .operators import ClassDescriptor, SpectralOperator, image_of
-from .subspaces import Subspace, span_sum
+from .subspaces import Subspace
 
 # gram_obstruction walks at most min(M, (m + 1)^k) blocks, each O(k) work,
 # and refuses a class over this many before it starts.  Every class of at
@@ -214,19 +213,14 @@ def witness_commuting_operator(a: SpectralOperator, y: Subspace) -> SpectralOper
         raise NotAnEigenline("y is not contained in a maximal eigenspace of A")
     if cls.n < 2 * k - 1:
         raise NoRoom(f"need n >= 2k-1 = {2 * k - 1}, have n = {cls.n}")
-    perp_lines = split_into_lines(image_of(a).perp())
+    # Im(A)^perp's lines, pairwise orthogonal and orthogonal to y
+    lines = image_of(a).perp().basis
     slot_for_y = min(range(cls.m), key=lambda s: cls.dims[s])
     eig: List[Tuple[Fraction, Subspace]] = []
     cursor = 0
     for s, (alpha, d) in enumerate(zip(cls.alphas, cls.dims)):
-        if s == slot_for_y:
-            space = y
-            need = d - 1
-        else:
-            space = Subspace.zero(cls.n)
-            need = d
-        for _ in range(need):
-            space = span_sum(space, perp_lines[cursor])
-            cursor += 1
-        eig.append((alpha, space))
+        head = y.basis if s == slot_for_y else ()
+        take = d - len(head)
+        eig.append((alpha, Subspace.spanned_by(head + lines[cursor:cursor + take], cls.n)))
+        cursor += take
     return SpectralOperator(cls, tuple(eig))

@@ -127,11 +127,6 @@ def scalar_text(re: int, im: int, den: int) -> str:
     return (_ratio_text(re, den) if re else "") + sign + _ratio_text(im, den) + "i"
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
-
-
 def as_scalar(x) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational to a scalar."""
     if isinstance(x, GaussianRational):

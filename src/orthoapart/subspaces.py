@@ -1,47 +1,53 @@
-"""Subspaces of C^n, held as an orthogonal integer basis or an exact projection.
+"""Subspaces of C^n, held as an orthogonal integer basis.
 
-A subspace built from spanning vectors holds their integer Gram-Schmidt basis
-u, pairwise orthogonal primitive columns (re, im, d = u*u), and builds its
-projection P = sum u u*/d, in integers over one canonical denominator, on first
-use.  Subspaces are equal iff their projections are; equality, hashing and the
-lattice read P.  The join is the projection onto both projections' integer
-columns, the orthocomplement is I - P, and X ^ Y = (X^perp + Y^perp)^perp.
+A subspace is its integer Gram-Schmidt basis u: pairwise orthogonal
+primitive columns (re, im, d = u*u).  Every predicate and lattice operation
+reads bases.  The projection P = sum u u*/d, in integers over one canonical
+denominator, is built on first read only where a matrix is the product:
+P is canonical, so subspaces are equal iff their projections are, and
+equality and hashing read it.  X <= Y when |P_Y v|^2 = v*v for each v of X's
+basis, the join is Gram-Schmidt over both bases, the orthocomplement is the
+lines of I - P read off the basis by `column_lines`, and
+X ^ Y = (X^perp + Y^perp)^perp.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, _addmul, _primitive, gram_schmidt, projection_matrix, vector
+from .matrices import Matrix, _addmul, _primitive, column_inner, gram_schmidt, projection_matrix, vector
 
 
 class Subspace:
-    __slots__ = ("ambient_dim", "_proj", "_basis")
+    __slots__ = ("ambient_dim", "basis", "_proj")
 
     def __init__(self, proj: Matrix):
+        """The subspace onto which proj projects: Gram-Schmidt over its integer
+        columns, refusing a matrix that is not the projection onto them."""
         if proj.rows != proj.cols:
             raise DimensionMismatch("projection matrix must be square")
-        self.ambient_dim = proj.rows
-        self._proj, self._basis = proj, None
+        self.ambient_dim, self.basis = proj.rows, tuple(gram_schmidt(proj.integer_columns()))
+        self._proj = projection_matrix(self.basis, proj.rows)
+        if self._proj != proj:
+            raise ValueError("matrix is not the projection onto its columns; corrupt subspace")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(Matrix.zeros(n, n))
+        return cls.spanned_by((), n)
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
         return cls.coordinate(n, range(n))
 
     @classmethod
-    def spanned_by(cls, basis: Sequence[tuple], n: int) -> "Subspace":
+    def spanned_by(cls, basis: Iterable[tuple], n: int) -> "Subspace":
         """The span of pairwise orthogonal primitive columns (re, im, d = u*u) in C^n."""
         x = cls.__new__(cls)
-        x.ambient_dim, x._proj, x._basis = n, None, tuple(basis)
+        x.ambient_dim, x.basis, x._proj = n, tuple(basis), None
         return x
 
     @classmethod
@@ -56,24 +62,12 @@ class Subspace:
     @property
     def proj(self) -> Matrix:
         if self._proj is None:
-            self._proj = projection_matrix(self._basis, self.ambient_dim)
+            self._proj = projection_matrix(self.basis, self.ambient_dim)
         return self._proj
 
     @property
-    def basis(self) -> tuple:
-        """Orthogonal primitive columns (re, im, d) spanning it: held, or P's lines."""
-        if self._basis is None:
-            self._basis = tuple(islice(gram_schmidt(self._proj.integer_columns()), self.dim))
-        return self._basis
-
-    @property
     def dim(self) -> int:
-        if self._basis is not None:
-            return len(self._basis)
-        re, im = self.proj.integer_trace()
-        if im or re % self.proj.den:
-            raise ValueError("projection trace is not an integer; corrupt subspace")
-        return re // self.proj.den
+        return len(self.basis)
 
     # -- predicates --------------------------------------------------------
 
@@ -86,18 +80,21 @@ class Subspace:
         return hash(self.proj)
 
     def contains(self, other: "Subspace") -> bool:
-        """other <= self, as an exact matrix identity P_self P_other = P_other."""
+        """other <= self: |P_self v|^2 = v*v for each v of other's basis."""
         self._same_ambient(other)
-        return self.proj @ other.proj == other.proj
+        big, rows = image_rows(self.basis, other.basis)
+        return all(norm == big * v[2] for v, (_, norm) in zip(other.basis, rows))
 
     def is_orthogonal_to(self, other: "Subspace") -> bool:
+        """Every u*v is zero, u and v over the two bases."""
         self._same_ambient(other)
-        return (self.proj @ other.proj).is_zero()
+        return not any(any(column_inner(u, v)) for u in self.basis for v in other.basis)
 
     # -- lattice operations ------------------------------------------------
 
     def perp(self) -> "Subspace":
-        return Subspace(Matrix.identity(self.ambient_dim) - self.proj)
+        n = self.ambient_dim
+        return Subspace.spanned_by(column_lines(self.basis, n, complement=True), n)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -107,6 +104,16 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def image_rows(us: Sequence[tuple], vs: Sequence[tuple]) -> Tuple[int, List[tuple]]:
+    """L = lcm(d_u) over an orthogonal basis us of U, and for each v of vs its
+    inner products u*v with L |P_U v|^2 = sum (L/d_u) |u*v|^2."""
+    big, rows = lcm(*(d for *_, d in us)), []
+    for v in vs:
+        row = [column_inner(u, v) for u in us]
+        rows.append((row, sum(big // u[2] * (a * a + b * b) for u, (a, b) in zip(us, row))))
+    return big, rows
 
 
 def projection_of(vectors: Sequence[Sequence], ambient_dim: int | None = None, *,
@@ -142,10 +149,9 @@ def intersect(x: Subspace, y: Subspace) -> Subspace:
 
 
 def span_sum(x: Subspace, y: Subspace) -> Subspace:
-    """Smallest subspace containing both: the span of both projections' columns."""
+    """Smallest subspace containing both: Gram-Schmidt over both bases."""
     x._same_ambient(y)
-    cols = [*x.proj.integer_columns(), *y.proj.integer_columns()]
-    return projection_of(cols, ambient_dim=x.ambient_dim, integer=True)
+    return Subspace.spanned_by(gram_schmidt(u[:2] for u in (*x.basis, *y.basis)), x.ambient_dim)
 
 
 def complement_within(x: Subspace, y: Subspace) -> Subspace:

@@ -49,6 +49,7 @@ from util import (
     matrices_commute,
     matrices_orthogonal,
     oracle_verify_maximal_inexact,
+    oracle_witness_commuting_operator,
     random_frame,
     random_labeling,
     random_operator,
@@ -276,6 +277,7 @@ def test_acceptance_9_commuting_witness_postconditions(capsys):
                 continue
             y = a.eigenspaces[slot][1]
             b = witness_commuting_operator(a, y)
+            assert b == oracle_witness_commuting_operator(a, y)
             assert b.cls == a.cls
             ma, mb = materialize(a), materialize(b)
             assert ma @ mb == mb @ ma

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,21 +8,34 @@ from orthoapart import (
     ClassDescriptor,
     Matrix,
     SpectralOperator,
+    Subspace,
     commutes,
+    enumerate_members,
     image_of,
+    intersect,
+    is_compatible,
     materialize,
+    matrices,
     orthogonal,
     projection_of,
+    span_sum,
 )
 from orthoapart.errors import DimensionMismatch, OrthoapartError
 
 from util import (
     apply,
+    compositions,
     conjugate_operator,
     diagonal,
+    identity,
+    is_zero,
     matrices_commute,
     matrices_orthogonal,
+    oracle_image_of,
+    oracle_product_compatible,
+    oracle_to_operator,
     product_trace,
+    random_complex_frame,
     random_frame,
     random_labeling,
     random_operator,
@@ -186,3 +200,51 @@ def test_ambient_mismatch():
     for fn in (commutes, orthogonal):
         with pytest.raises(DimensionMismatch):
             fn(a, b)
+
+
+def test_predicates_build_no_matrix(monkeypatch):
+    """`Matrix` only at the boundary: on seeded real and complex rotated
+    frames, Labeling.to_operator, image_of, commutes, orthogonal and the
+    subspace predicates and lattice operations on the eigenspaces take no
+    Matrix product and build no projection.  Their answers agree with the
+    product forms, and to_operator and image_of equal the projection-sum
+    oracles on every member of every class with n <= 5."""
+    products, builds = [], []
+    matmul, build = Matrix.__matmul__, matrices.projection_matrix
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    counted = lambda basis, n: builds.append(1) or build(basis, n)  # noqa: E731
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orthoapart" and getattr(module, "projection_matrix", None) is build:
+            monkeypatch.setattr(module, "projection_matrix", counted)
+
+    rng = random.Random(31)
+    classes = [ClassDescriptor(n, tuple(Fraction(t + 1) for t in range(len(dims))), dims)
+               for n in range(1, 6) for k in range(1, n + 1) for dims in compositions(k)]
+    checked = 0
+    for c, cls in enumerate(classes):
+        frames = [(random_complex_frame if (c + k) % 2 else random_frame)(cls.n, rng) for k in range(2)]
+        members = list(enumerate_members(cls))
+        products.clear()
+        builds.clear()
+        ops = [m.to_operator(Apartment(frames[0], cls)) for m in members]
+        images = [image_of(a) for a in ops]
+        other = random_labeling(cls, rng).to_operator(Apartment(frames[1], cls))
+        pairs = [(ops[0], a) for a in ops[:4]] + [(other, a) for a in ops[:4]]
+        relations = [(commutes(a, b), orthogonal(a, b)) for a, b in pairs]
+        spaces = [(x, y) for a, b in pairs for _, x in a.eigenspaces for _, y in b.eigenspaces]
+        answers = [(is_compatible(x, y), x.contains(y), x.is_orthogonal_to(y)) for x, y in spaces]
+        joins = [(x.perp(), span_sum(x, y), intersect(x, y)) for x, y in spaces]
+        assert products == [] and builds == []
+
+        for m, a, image in zip(members, ops, images):
+            assert a == oracle_to_operator(m, Apartment(frames[0], cls))
+            assert image == oracle_image_of(a)
+        assert relations == [(matrices_commute(a, b), matrices_orthogonal(a, b)) for a, b in pairs]
+        for (x, y), got, (perp, join, meet) in zip(spaces, answers, joins):
+            p, q = x.proj, y.proj
+            assert got == (oracle_product_compatible(x, y), p @ q == q, is_zero(p @ q))
+            assert perp == Subspace(identity(cls.n) - p)
+            assert join == projection_of([*p.integer_columns(), *q.integer_columns()], integer=True)
+            assert meet == Subspace(p @ q) if got[0] else meet.dim < min(x.dim, y.dim)
+        checked += len(members)
+    assert checked == 1261 and products and builds  # the counters were live

@@ -35,6 +35,7 @@ from util import (
     member_permutation,
     oracle_check_preservation,
     oracle_gram_obstruction,
+    oracle_witness_commuting_operator,
     permutation_inducer,
     product_trace,
     random_frame,
@@ -276,6 +277,7 @@ def test_witness_projection_class():
     a = SpectralOperator(cls, ((Fraction(1), Subspace.coordinate(n, range(k))),))
     y = Subspace.coordinate(n, [0])
     b = witness_commuting_operator(a, y)
+    assert b == oracle_witness_commuting_operator(a, y)
     assert image_of(b) == Subspace.coordinate(n, [0, 3, 4])
     assert commutes(a, b)
     assert intersect(image_of(a), image_of(b)) == y
@@ -294,6 +296,7 @@ def test_witness_mixed_class():
     )
     y = Subspace.coordinate(5, [0])
     b = witness_commuting_operator(a, y)
+    assert b == oracle_witness_commuting_operator(a, y)
     assert b.cls == cls
     assert commutes(a, b)
     ma, mb = materialize(a), materialize(b)
@@ -348,5 +351,6 @@ def test_witness_on_random_operators():
                 continue
             y = a.eigenspaces[slot][1]
             b = witness_commuting_operator(a, y)
+            assert b == oracle_witness_commuting_operator(a, y)
             assert commutes(a, b)
             assert intersect(image_of(a), image_of(b)) == y

@@ -6,7 +6,7 @@ import pytest
 
 from orthoapart.errors import DimensionMismatch
 from orthoapart.matrices import Matrix, column_inner, gram_schmidt, projection_matrix
-from orthoapart.scalars import GaussianRational, I
+from orthoapart.scalars import GaussianRational
 from orthoapart.subspaces import (
     Subspace,
     complement_within,
@@ -17,6 +17,7 @@ from orthoapart.subspaces import (
 
 from util import (
     SMALL,
+    I,
     OracleMatrix,
     contains_vector,
     diagonal,

@@ -30,7 +30,6 @@ from orthoapart import (
     complement_within,
     image_of,
     intersect,
-    is_compatible,
     materialize,
     orthogonal,
     projection_of,
@@ -53,8 +52,12 @@ from orthoapart.apartments import (
 from orthoapart.cli import SCHEMA_VERSION
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, SingularMatrix
 from orthoapart.matrices import Vector, column_inner, gram_schmidt, projection_matrix, vector
-from orthoapart.scalars import I, ONE, ZERO, GaussianRational, as_scalar
+from orthoapart.scalars import GaussianRational, as_scalar
 from orthoapart.rigidity import FiniteTransformation, GramWitness
+
+ZERO = GaussianRational()
+ONE = GaussianRational(Fraction(1))
+I = GaussianRational(Fraction(0), Fraction(1))
 
 # small entries for exhaustive checks: zero, signs, a fraction, complex values
 SMALL = [0, 1, -1, Fraction(1, 2), I, 1 - I]
@@ -72,7 +75,7 @@ def rotation_matrix(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
 
 def random_unitary(n: int, rng: random.Random, rotations: int = 3) -> Matrix:
     """A rational orthogonal matrix: a few random plane rotations."""
-    u = Matrix.identity(n)
+    u = identity(n)
     if n < 2:
         return u
     for _ in range(rotations):
@@ -134,6 +137,83 @@ def random_operator(cls: ClassDescriptor, rng: random.Random, frame: Frame | Non
 
 
 # ---------------------------------------------------------------------------
+# Matrix helpers that only tests read: the package reads no trace, zero test
+# or identity of a matrix, and decides compatibility on bases
+
+def identity(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def den(m: Matrix) -> int:
+    """The one denominator of m's integer entries."""
+    return m._den
+
+
+def is_zero(m: Matrix) -> bool:
+    return m == Matrix.zeros(m.rows, m.cols)
+
+
+def integer_trace(m: Matrix) -> Tuple[int, int]:
+    """The numerators (re, im) of the trace over den(m)."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("trace of a non-square matrix")
+    re = sum(m._re[i][i] for i in range(m.rows))
+    return re, 0 if m._im is None else sum(m._im[i][i] for i in range(m.rows))
+
+
+def product_is_hermitian(a: Matrix, b: Matrix) -> bool:
+    """a @ b equals its conjugate transpose, read on the product's integers."""
+    z = a @ b
+    return list(z._re) == list(zip(*z._re)) and (
+        z._im is None or [tuple(-x for x in r) for r in z._im] == list(zip(*z._im)))
+
+
+def oracle_product_compatible(x: Subspace, y: Subspace) -> bool:
+    """`is_compatible` on projections, before bases: P_X P_Y = (P_X P_Y)*."""
+    x._same_ambient(y)
+    return product_is_hermitian(x.proj, y.proj)
+
+
+def oracle_image_of(a: SpectralOperator) -> Subspace:
+    """`image_of` on projections: the sum of the eigenspaces' projections."""
+    proj = Matrix.zeros(a.n, a.n)
+    for _, x in a.eigenspaces:
+        proj = proj + x.proj
+    return Subspace(proj)
+
+
+def oracle_to_operator(labeling: Labeling, ap: Apartment) -> SpectralOperator:
+    """`Labeling.to_operator` on projections: slot t's eigenspace is the
+    subspace of the sum of the projections of the frame lines labeled t."""
+    labeling.validate(ap.cls)
+    eig = []
+    for t, alpha in enumerate(ap.cls.alphas):
+        proj = Matrix.zeros(ap.cls.n, ap.cls.n)
+        for line, s in zip(ap.frame.lines, labeling.assignment):
+            if s == t:
+                proj = proj + line.proj
+        eig.append((alpha, Subspace(proj)))
+    return SpectralOperator(ap.cls, tuple(eig))
+
+
+def oracle_witness_commuting_operator(a: SpectralOperator, y: Subspace) -> SpectralOperator:
+    """`witness_commuting_operator`'s construction on projections: the lines of
+    I - P_Im(A) by `split_into_lines`, joined to y or to zero one at a time by
+    `span_sum`.  Builds the operator only; the argument checks are the package's."""
+    cls = a.cls
+    perp_lines = split_into_lines(Subspace(identity(cls.n) - oracle_image_of(a).proj))
+    slot_for_y = min(range(cls.m), key=lambda s: cls.dims[s])
+    eig, cursor = [], 0
+    for s, (alpha, d) in enumerate(zip(cls.alphas, cls.dims)):
+        space, need = (y, d - 1) if s == slot_for_y else (Subspace.zero(cls.n), d)
+        for _ in range(need):
+            space = span_sum(space, perp_lines[cursor])
+            cursor += 1
+        eig.append((alpha, space))
+    return SpectralOperator(cls, tuple(eig))
+
+
+# ---------------------------------------------------------------------------
 # independent oracles
 
 def matrices_commute(a: SpectralOperator, b: SpectralOperator) -> bool:
@@ -143,7 +223,7 @@ def matrices_commute(a: SpectralOperator, b: SpectralOperator) -> bool:
 
 def matrices_orthogonal(a: SpectralOperator, b: SpectralOperator) -> bool:
     ma, mb = materialize(a), materialize(b)
-    return (ma @ mb).is_zero() and (mb @ ma).is_zero()
+    return is_zero(ma @ mb) and is_zero(mb @ ma)
 
 
 def oracle_in_orthocomplementary(op: SpectralOperator, ap: Apartment, i: int, j: int) -> bool:
@@ -238,7 +318,7 @@ def oracle_pairwise_refine_to_frame(family: Sequence[Subspace], ambient_dim: int
     n = _refined_dim(family, ambient_dim)
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            if not is_compatible(family[i], family[j]):
+            if not oracle_product_compatible(family[i], family[j]):
                 raise IncompatibleFamily(i, j)
 
     blocks: List[Subspace] = [Subspace.full(n)]
@@ -246,7 +326,7 @@ def oracle_pairwise_refine_to_frame(family: Sequence[Subspace], ambient_dim: int
         split: List[Subspace] = []
         for y in blocks:
             z = x.proj @ y.proj
-            if z.is_zero() or z == y.proj:
+            if is_zero(z) or z == y.proj:
                 split.append(y)
             else:
                 split += [Subspace(z), Subspace(y.proj + -z)]
@@ -259,7 +339,7 @@ def oracle_pairwise_refine_to_frame(family: Sequence[Subspace], ambient_dim: int
 
 
 def frobenius(p: Matrix, q: Matrix) -> int:
-    """Re tr(p q*) = sum re re' + im im' over p.den * q.den: tr(p q) for
+    """Re tr(p q*) = sum re re' + im im' over den(p) * den(q): tr(p q) for
     Hermitian q, and tr(PQ) = |PQ|_F^2 for projections P, Q."""
     return sum(sum(map(mul, a, b)) + (sum(map(mul, c, d)) if c and d else 0)
                for (a, c), (b, d) in zip(p.integer_columns(), q.integer_columns()))
@@ -267,7 +347,7 @@ def frobenius(p: Matrix, q: Matrix) -> int:
 
 def is_hermitian(m: Matrix) -> bool:
     """m equals its conjugate transpose, read on the integers of m I."""
-    return m.product_is_hermitian(Matrix.identity(m.cols))
+    return product_is_hermitian(m, identity(m.cols))
 
 
 def lead_column(m: Matrix) -> Tuple[int, tuple]:
@@ -298,19 +378,19 @@ def oracle_refine_to_frame(family: Sequence[Subspace], ambient_dim: int | None =
             raise OrthoapartError("ambient_dim required for an empty family")
         return Frame.standard(ambient_dim)
     n = _refined_dim(family, ambient_dim)
-    blocks: List[Subspace] = [Subspace(Matrix.identity(n))]
+    blocks: List[Subspace] = [Subspace(identity(n))]
     for x in family:
         p, split = x.proj, []
         for y in blocks:
             q = y.proj
-            t = frobenius(p, q)  # tr(P_X P_Y) times p.den * q.den
-            if not t or t == y.dim * p.den * q.den:
+            t = frobenius(p, q)  # tr(P_X P_Y) times den(p) * den(q)
+            if not t or t == y.dim * den(p) * den(q):
                 split.append(y)  # X is orthogonal to Y or contains it
                 continue
             z = p @ q
             if not is_hermitian(z):  # name the pairwise scan's first pair
                 raise next(IncompatibleFamily(i, j) for i, j in combinations(range(len(family)), 2)
-                           if not is_compatible(family[i], family[j]))
+                           if not oracle_product_compatible(family[i], family[j]))
             split += [Subspace(z), Subspace(q - z)]
         blocks = split
     lines = tuple(line for block in blocks for line in oracle_product_lines(block))
@@ -480,7 +560,7 @@ def permutation_inducer(t: MemberPermutation) -> Optional[Matrix]:
     exact rational arithmetic cannot close.  Feasible for small n only.
     """
     if not t.members:
-        return Matrix.identity(0)
+        return identity(0)
     n = t.cls.n
     mats = [materialize(op) for op in transformation_operators(t)]
     for perm in permutations(range(n)):
@@ -1142,8 +1222,8 @@ def apply(m: Matrix, v: Sequence) -> Vector:
 def product_trace(a: Matrix, b: Matrix) -> GaussianRational:
     """tr(ab), from the product's integer trace over its denominator."""
     z = a @ b
-    re, im = z.integer_trace()
-    return GaussianRational(Fraction(re, z.den), Fraction(im, z.den))
+    re, im = integer_trace(z)
+    return GaussianRational(Fraction(re, den(z)), Fraction(im, den(z)))
 
 
 def contains_vector(x: Subspace, v: Sequence) -> bool:
