@@ -109,19 +109,23 @@ def member_count(cls: ClassDescriptor) -> int:
     return _multinomial(cls.dims + (cls.n - cls.rank,))
 
 
-def _member_assignments(cls: ClassDescriptor) -> Iterator[Tuple[Slot, ...]]:
-    """The assignment tuples of all members of the class's apartments, in
-    lexicographic order (slots before None at every position), yielded in
-    that order by a depth-first walk: position by position, each label with
-    lines left, slots first, the rest of the positions filled at once when
-    fewer than two labels have lines left.  Labels do not depend on the
-    frame, so this reads n and the dims."""
+def _member_assignments(cls: ClassDescriptor, length: Optional[int] = None) -> Iterator[Tuple[Slot, ...]]:
+    """The distinct labels of the first `length` frame lines (all n by
+    default) over the members of the class's apartments, in lexicographic
+    order (slots before None at every position), yielded in that order by a
+    depth-first walk: position by position, each label with lines left,
+    slots first, the rest of the positions up to `length` filled at once
+    when fewer than two labels have lines left.  Labels do not depend on
+    the frame, so this reads n and the dims."""
+    length = cls.n if length is None else length
     labels, left = [*range(cls.m), None], [*cls.dims, cls.n - cls.rank]
     x: List[int] = []  # the label indices of the positions so far
     label = 0  # the next label index to try at position len(x); 0 on arrival
     while True:
-        if not label and sum(map(bool, left)) < 2:  # the rest is forced
-            yield tuple([labels[s] for s in x] + [labels[s] for s, c in enumerate(left) for _ in range(c)])
+        if not label and (len(x) == length or sum(map(bool, left)) < 2):
+            # at most one label has lines left unless x is full, so the rest is forced
+            need = length - len(x)
+            yield tuple([labels[s] for s in x] + [labels[s] for s, c in enumerate(left) for _ in range(min(c, need))])
             label = len(labels)
         while label < len(labels) and not left[label]:
             label += 1

@@ -15,7 +15,8 @@ itself.  Members of one apartment commute pairwise, and a and b have the
 same image, so every bystander is orthogonal to both or to neither: both
 relations are preserved.  A bystander x pairs with a as
 tr(AX) = sum_i alpha(a_i) alpha(x_i), over the first k lines, so the
-witness walk reads only x's labels on those lines.
+witness walk is the member enumeration cut at those lines, and
+first_index ranks the witness.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .apartments import _multinomial
+from .apartments import _member_assignments, first_index
 from .errors import (
     NoRoom,
     NotAnEigenline,
@@ -147,13 +149,13 @@ def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
     A bystander x whose pairing with a (member 0) differs from its pairing
     with b changes the pair (0, x) and, later in (s, u) order, the pair of x
     and b; no other pair changes.  So the witness is (0, x) for the least
-    such x.  Both pairings, sum_i alpha(a_i) alpha(x_i) and likewise for b, read only x's
-    labels of the first k lines.  So the members are walked as blocks that
-    share those k labels, in lexicographic order (slots before None): a
-    block's first index is the sum of the sizes of the blocks before it,
-    each a multinomial in n, and a and b are blocks of one member each.  The
-    witness heads the first other block whose two pairings differ.  A class
-    of more than MAX_BLOCKS possible blocks is refused before the walk."""
+    such x.  Both pairings, sum_i alpha(a_i) alpha(x_i) and likewise for b,
+    read only x's labels of the first k lines.  So the walk is the member
+    enumeration cut at k lines (_member_assignments(cls, k)): its blocks
+    share those k labels and come in member order, a and b are blocks of one
+    member each, and the witness heads the first other block whose two
+    pairings differ, ranked by first_index.  A class of more than
+    MAX_BLOCKS possible blocks is refused before the walk."""
     cls, k, m = t.cls, t.cls.rank, t.cls.m
     cap = MAX_BLOCKS ** 3
     # (m + 1)^e > cap once e reaches cap's bit length, as m + 1 >= 2
@@ -162,36 +164,17 @@ def gram_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
         stated = f"more than {cap}" if blocks > cap else blocks
         raise OrthoapartError(f"the witness walk may visit {stated} blocks, the lesser of "
                               f"M and (m + 1)^k, over the limit {MAX_BLOCKS}")
-    # eigenvalues times a common denominator, so pairings sum integers; None is label m
+    # eigenvalues times a common denominator, so pairings sum integers; None pairs as 0
     den = math.lcm(*(x.denominator for x in cls.alphas))
-    alpha = [int(x * den) for x in cls.alphas] + [0]
-    a, b = list(t.a), list(t.b)
-    left = [*cls.dims, cls.n - k]  # lines each label has left
-    x: List[int] = []  # the block's labels of the first k lines, so far
-    pairings = [(0, 0)]  # x's pairings with a and with b, after each line
-    first, label = 0, 0  # the block's first index; the next label to try at line len(x)
-    while True:
-        if len(x) == k:
-            lhs, rhs = pairings[-1]
-            if lhs != rhs and x != a and x != b:
-                return GramWitness(0, first, Fraction(lhs, den * den), Fraction(rhs, den * den))
-            first += _multinomial(left)
-            label = m + 1
-        while label <= m and not left[label]:
-            label += 1
-        if label <= m:
-            i, (lhs, rhs) = len(x), pairings[-1]
-            pairings.append((lhs + alpha[a[i]] * alpha[label], rhs + alpha[b[i]] * alpha[label]))
-            left[label] -= 1
-            x.append(label)
-            label = 0
-        elif x:
-            pairings.pop()
-            label = x.pop()
-            left[label] += 1
-            label += 1
-        else:
-            return None
+    alpha = dict(enumerate(int(x * den) for x in cls.alphas)) | {None: 0}
+    wa, wb = ([alpha[s] for s in y] for y in (t.a, t.b))
+    for x in _member_assignments(cls, k):
+        wx = [*map(alpha.__getitem__, x)]
+        lhs, rhs = sum(map(mul, wa, wx)), sum(map(mul, wb, wx))
+        if lhs != rhs and x != t.a and x != t.b:
+            first = first_index(tuple(m if s is None else s for s in x), cls)
+            return GramWitness(0, first, Fraction(lhs, den * den), Fraction(rhs, den * den))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,23 @@ def test_member_order_matches_sorted_oracle():
     assert list(_member_assignments(ClassDescriptor(0, (), ()))) == [()]
 
 
+def test_member_walk_cut_at_a_length_gives_the_distinct_prefixes():
+    # every class with n <= 6 (k = 0 included) and every length 0..n: the
+    # walk cut at a length yields each prefix of the sorted oracle once, in
+    # order of first appearance
+    cases = 0
+    for n in range(7):
+        for k in range(n + 1):
+            for dims in compositions(k):
+                cls = cls_of(n, dims)
+                members = oracle_member_assignments(cls)
+                for length in range(n + 1):
+                    prefixes = list(dict.fromkeys(a[:length] for a in members))
+                    assert list(_member_assignments(cls, length)) == prefixes, (cls, length)
+                    cases += 1
+    assert cases == 769
+
+
 def test_member_walk_is_iterative_and_lazy():
     # one frame line per step of a loop, not per level of recursion: n = 1000
     # is past the interpreter's recursion limit, and the first member comes

@@ -184,6 +184,17 @@ def test_counterexample_at_large_n(n, capsys):
     assert report["witness"] == {"s": 0, "t": 1, "lhs": "1", "rhs": "2"}
 
 
+def test_counterexample_slowest_accepted_swap(capsys):
+    # dims 1999,1 at n = 2000 has M = 2000 blocks, at MAX_BLOCKS, and no
+    # witness, so the walk visits every block of 2000 lines
+    start = time.perf_counter()
+    assert main(["counterexample", "orth", "--n", "2000", "--alphas", "1,2", "--dims", "1999,1"]) == 0
+    assert time.perf_counter() - start < 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["domain_size"] == 2000
+    assert report["witness"] is None
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

@@ -33,6 +33,7 @@ from util import (
     label_check_preservation,
     label_gram_obstruction,
     member_permutation,
+    oracle_block_walk_obstruction,
     oracle_check_preservation,
     oracle_gram_obstruction,
     oracle_witness_commuting_operator,
@@ -265,6 +266,40 @@ def test_certificate_matches_label_oracle_on_same_image_transpositions():
                     witnesses.add(None if witness is None else witness.t)
                     cases += 1
     assert cases == 732 and None in witnesses and len(witnesses) > 2
+
+
+def _witness_or_refusal(obstruction, t: FiniteTransformation):
+    try:
+        return obstruction(t)
+    except OrthoapartError as e:
+        return str(e)
+
+
+def test_certificate_matches_block_walk_oracle():
+    """gram_obstruction, the member enumeration cut at k lines, against the
+    hand-written block walk it replaced: the same witness or the same
+    refusal text.  Every composition with k <= 7 and two or more parts,
+    every distinct b (a seeded sample of 40 when there are more),
+    eigenvalues 1..m and alternating in sign, and n in {k, k + 1, 2k, 4k,
+    10^9}."""
+    rng = random.Random(32)
+    cases, refused, silent = 0, 0, 0
+    for k in range(2, 8):
+        for dims in compositions(k):
+            if len(dims) < 2:
+                continue
+            a = tuple(t for t, d in enumerate(dims) for _ in range(d))
+            bs = sorted(set(permutations(a)))
+            for b in bs if len(bs) <= 40 else rng.sample(bs, 40):
+                for alphas in ([s + 1 for s in range(len(dims))], [(-1) ** s * (s + 1) for s in range(len(dims))]):
+                    for n in (k, k + 1, 2 * k, 4 * k, 10 ** 9):
+                        t = FiniteTransformation(ClassDescriptor(n, tuple(map(Fraction, alphas)), dims), a, b)
+                        got = _witness_or_refusal(gram_obstruction, t)
+                        assert got == _witness_or_refusal(oracle_block_walk_obstruction, t), (t.cls, b)
+                        cases += 1
+                        refused += isinstance(got, str)
+                        silent += got is None
+    assert (cases, refused, silent) == (39460, 25776, 458)
 
 
 def test_witness_projection_class():

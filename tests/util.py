@@ -53,7 +53,7 @@ from orthoapart.cli import SCHEMA_VERSION
 from orthoapart.errors import DimensionMismatch, IncompatibleFamily, OrthoapartError, SingularMatrix
 from orthoapart.matrices import Vector, column_inner, gram_schmidt, projection_matrix, vector
 from orthoapart.scalars import GaussianRational, as_scalar
-from orthoapart.rigidity import FiniteTransformation, GramWitness
+from orthoapart.rigidity import MAX_BLOCKS, FiniteTransformation, GramWitness, _capped_multinomial
 
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
@@ -518,6 +518,51 @@ def label_gram_obstruction(p: MemberPermutation) -> Optional[GramWitness]:
             if lhs != rhs:
                 return GramWitness(s, u, lhs, rhs)
     return None
+
+
+def oracle_block_walk_obstruction(t: FiniteTransformation) -> Optional[GramWitness]:
+    """gram_obstruction before it read the member enumeration: its own
+    depth-first walk over the labels of the first k lines, a stack of x's
+    pairings with a and with b per line, and a block's first index as the
+    running sum of the sizes of the blocks before it.  The refusal check
+    ahead of the walk is the package's, with its bytes."""
+    cls, k, m = t.cls, t.cls.rank, t.cls.m
+    cap = MAX_BLOCKS ** 3
+    blocks = min(_capped_multinomial(cls.dims + (cls.n - k,), cap), (m + 1) ** min(k, cap.bit_length()))
+    if blocks > MAX_BLOCKS:
+        stated = f"more than {cap}" if blocks > cap else blocks
+        raise OrthoapartError(f"the witness walk may visit {stated} blocks, the lesser of "
+                              f"M and (m + 1)^k, over the limit {MAX_BLOCKS}")
+    # eigenvalues times a common denominator, so pairings sum integers; None is label m
+    den = math.lcm(*(x.denominator for x in cls.alphas))
+    alpha = [int(x * den) for x in cls.alphas] + [0]
+    a, b = list(t.a), list(t.b)
+    left = [*cls.dims, cls.n - k]  # lines each label has left
+    x: List[int] = []  # the block's labels of the first k lines, so far
+    pairings = [(0, 0)]  # x's pairings with a and with b, after each line
+    first, label = 0, 0  # the block's first index; the next label to try at line len(x)
+    while True:
+        if len(x) == k:
+            lhs, rhs = pairings[-1]
+            if lhs != rhs and x != a and x != b:
+                return GramWitness(0, first, Fraction(lhs, den * den), Fraction(rhs, den * den))
+            first += _multinomial(left)
+            label = m + 1
+        while label <= m and not left[label]:
+            label += 1
+        if label <= m:
+            i, (lhs, rhs) = len(x), pairings[-1]
+            pairings.append((lhs + alpha[a[i]] * alpha[label], rhs + alpha[b[i]] * alpha[label]))
+            left[label] -= 1
+            x.append(label)
+            label = 0
+        elif x:
+            pairings.pop()
+            label = x.pop()
+            left[label] += 1
+            label += 1
+        else:
+            return None
 
 
 def transformation_operators(t: MemberPermutation) -> List[SpectralOperator]:
